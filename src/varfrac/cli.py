@@ -52,6 +52,7 @@ from .orders import (
     Tabulated,
 )
 from .spectral import (
+    OperatorMatrix,
     approximation_numbers,
     assemble_matrix,
     singular_values,
@@ -157,8 +158,7 @@ def parse_f(spec: str) -> GridFunction:
         return GridFunction(t, np.cos(3.0 * t))
     head, _, tail = spec.partition(":")
     if head == "csv":
-        nodes, values = _read_csv_columns(tail)
-        return GridFunction(np.asarray(nodes), np.asarray(values))
+        return GridFunction.from_csv(tail)
     raise ValueError(f"unknown f spec {spec!r}; expected one, ramp, cos3, or csv:<path>")
 
 
@@ -198,27 +198,6 @@ def _floats(tail: str, count: int) -> list[float]:
     return [float(x) for x in parts]
 
 
-def _read_csv_columns(path: str) -> tuple[list[float], list[float]]:
-    """First two columns of a CSV file, skipping '#' comments and a header row."""
-    xs: list[float] = []
-    ys: list[float] = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                x, y = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                if not xs:  # header row
-                    continue
-                raise ValueError(f"bad CSV row {row!r} in {path}")
-            xs.append(x)
-            ys.append(y)
-    if len(xs) < 2:
-        raise ValueError(f"need at least two data rows in {path}")
-    return xs, ys
-
-
 # --------------------------------------------------------------------------
 # output plumbing
 
@@ -249,8 +228,7 @@ def cmd_apply(cfg: RunConfig, args) -> int:
     alpha = parse_alpha(cfg.alpha_spec)
     f = parse_f(args.f)
     targets = parse_targets(args.targets)
-    quad = QuadratureConfig(n_cells=args.n_cells)
-    values = (q_values if args.adjoint else rl_values)(alpha, f, targets, quad)
+    values = (q_values if args.adjoint else rl_values)(alpha, f, targets)
     _emit(_csv_table("t,value", zip(targets, values)), cfg.output)
     return EXIT_OK
 
@@ -275,8 +253,8 @@ def cmd_diagnose(cfg: RunConfig, args) -> int:
 def cmd_spectrum(cfg: RunConfig, args) -> int:
     if args.matrix:
         entries = _load_matrix(args.matrix)
-        sv = np.linalg.svd(entries, compute_uv=False)
-        _emit(_spectrum_text(sv), cfg.output)
+        m = OperatorMatrix(n=entries.shape[0], r=args.r, p=cfg.p, q=cfg.q, entries=entries)
+        _emit(_spectrum_text(singular_values(m)), cfg.output)
         return EXIT_OK
     if not cfg.alpha_spec:
         raise ValueError("spectrum needs --alpha or --matrix")
@@ -453,7 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--f", default="one", help="input: one, ramp, cos3, or csv:<path>")
     sp.add_argument("--targets", default="65", help="point count or comma-separated points")
-    sp.add_argument("--n-cells", type=int, default=256, help="quadrature cells per target")
+    sp.add_argument(
+        "--n-cells",
+        type=int,
+        default=256,
+        help="deprecated and ignored: product integration is exact on the nodes of f",
+    )
     sp.add_argument("--adjoint", action="store_true", help="apply the right-sided operator")
     sp.set_defaults(func=cmd_apply)
 

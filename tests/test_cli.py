@@ -19,7 +19,7 @@ from varfrac.cli import (
     parse_ngrid,
     parse_targets,
 )
-from varfrac.core import NumericalError
+from varfrac.core import GridFunction, NumericalError
 from varfrac.orders import (
     Constant,
     ExpOffset,
@@ -148,6 +148,24 @@ class TestApply:
         _, rows = csv_rows(out)
         assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_csv_step_function_round_trip(self, tmp_path, capsys):
+        fpath = tmp_path / "step.csv"
+        GridFunction((0.0, 0.5, 1.0), (1.0, 3.0, 3.0), "step").to_csv(str(fpath))
+        rc, out, _ = run(
+            capsys, "apply", "--alpha", "const:1", f"--f=csv:{fpath}", "--targets", "0.25,0.75"
+        )
+        assert rc == EXIT_OK
+        _, rows = csv_rows(out)
+        assert [float(v) for _, v in rows] == pytest.approx([0.25, 1.25], abs=1e-14)
+
+    def test_n_cells_is_ignored(self, capsys):
+        argv = ("apply", "--alpha", "ex1:0.5,1,2", "--f", "cos3", "--targets", "33")
+        rc, plain, _ = run(capsys, *argv)
+        assert rc == EXIT_OK
+        for n_cells in ("1", "4096"):
+            rc, out, _ = run(capsys, *argv, "--n-cells", n_cells)
+            assert rc == EXIT_OK and out == plain
+
 
 class TestDiagnose:
     def test_l1criterion_constant(self, capsys):
@@ -210,6 +228,13 @@ class TestSpectrum:
         assert rc == EXIT_OK
         _, rows = csv_rows(out)
         assert [float(v) for _, v in rows] == [3.0, 2.0, 1.0]
+
+    def test_non_finite_matrix_rejected(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("1,0,0\n0.5,nan,0\n0,0,1\n")
+        rc, out, err = run(capsys, "spectrum", "--matrix", str(path))
+        assert rc == EXIT_USAGE and out == ""
+        assert "finite" in err
 
     def test_non_square_matrix_rejected(self, tmp_path, capsys):
         path = tmp_path / "m.csv"

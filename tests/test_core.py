@@ -26,7 +26,13 @@ from varfrac.core import (
     rl_values,
     thread_count,
 )
-from varfrac.orders import Constant, OrderFunction, PowerOffset
+from varfrac.orders import (
+    Constant,
+    LogPowerOffset,
+    OrderFunction,
+    PowerOffset,
+    ReciprocalLog,
+)
 
 ONE = GridFunction((0.0, 1.0), (1.0, 1.0))
 RAMP = GridFunction((0.0, 1.0), (0.0, 1.0))
@@ -313,3 +319,222 @@ class TestParallelMap:
         monkeypatch.setenv("VARFRAC_THREADS", "8")
         threaded = parallel_map(fn, range(33))
         assert serial == threaded
+
+
+# -- slow references ----------------------------------------------------------
+# The per-target loops that rl_values, q_values and maximal_values ran before
+# they became blocked (targets x nodes) sweeps: every target merges a 256-cell
+# graded mesh with f's nodes and integrates the kernel cell by cell in the
+# global form f(s) = c0 + c1*s; the maximal function takes one target at a
+# time over its unique positive radii.
+
+
+def _ref_mesh(f, lo, hi, singular_at, n_cells=256, grading=2.0):
+    j = np.arange(n_cells + 1) / n_cells
+    if singular_at == "right":
+        graded = hi - (hi - lo) * (1.0 - j) ** grading
+    else:
+        graded = lo + (hi - lo) * j**grading
+    inner = f.nodes[(f.nodes > lo) & (f.nodes < hi)]
+    mesh = np.unique(np.concatenate((graded, inner, [lo, hi])))
+    keep = np.concatenate(([True], np.diff(mesh) > 0.0))
+    return mesh[keep]
+
+
+def _ref_cell_coeffs(f, mesh):
+    u, v = mesh[:-1], mesh[1:]
+    lo, hi = f.domain
+    mid = (u + v) / 2.0
+    inside = (mid >= lo) & (mid <= hi)
+    if f.interpretation == "step":
+        c0 = np.where(inside, f(u), 0.0)
+        return c0, np.zeros_like(c0)
+    fu, fv = f(u), f(v)
+    with np.errstate(invalid="ignore"):
+        c1 = np.where(inside, (fv - fu) / (v - u), 0.0)
+    c0 = np.where(inside, fu - c1 * u, 0.0)
+    return c0, c1
+
+
+def ref_rl_values(alpha, f, targets):
+    ts = np.clip(np.atleast_1d(np.asarray(targets, dtype=float)), 0.0, 1.0)
+    out = np.empty(ts.size)
+    for i, t in enumerate(ts):
+        if t == 0.0:
+            out[i] = 0.0
+            continue
+        a = alpha.eval(t)
+        if a <= 0.0:
+            raise NumericalError(f"order is nonpositive at target t={t}: alpha={a}")
+        mesh = _ref_mesh(f, 0.0, t, "right")
+        c0, c1 = _ref_cell_coeffs(f, mesh)
+        big, small = t - mesh[:-1], t - mesh[1:]
+        m0 = (big**a - small**a) / a
+        m1 = t * m0 - (big ** (a + 1.0) - small ** (a + 1.0)) / (a + 1.0)
+        out[i] = (np.dot(c0, m0) + np.dot(c1, m1)) / math.gamma(a)
+    return out
+
+
+def ref_q_values(alpha, f, targets):
+    r = f.domain[1]
+    ts = np.clip(np.atleast_1d(np.asarray(targets, dtype=float)), 0.0, r)
+    out = np.empty(ts.size)
+    for i, t in enumerate(ts):
+        if t == r:
+            out[i] = 0.0
+            continue
+        a = alpha.eval(t)
+        if a <= 0.0:
+            raise NumericalError(f"order is nonpositive at target t={t}: alpha={a}")
+        mesh = _ref_mesh(f, t, r, "left")
+        c0, c1 = _ref_cell_coeffs(f, mesh)
+        big, small = mesh[1:] - t, mesh[:-1] - t
+        m0 = (big**a - small**a) / a
+        m1 = t * m0 + (big ** (a + 1.0) - small ** (a + 1.0)) / (a + 1.0)
+        out[i] = (np.dot(c0, m0) + np.dot(c1, m1)) / math.gamma(a)
+    return out
+
+
+def _ref_one_sided_limits(g, t):
+    a, b = g.domain
+    right = float(g(t)) if a <= t < b else 0.0
+    if not a < t <= b:
+        return 0.0, right
+    if g.interpretation == "linear":
+        return float(g(t)), right
+    idx = int(np.searchsorted(g.nodes, t, side="left")) - 1
+    return float(g.values[max(idx, 0)]), right
+
+
+def ref_maximal_values(f, targets):
+    g = abs(f)
+    mass_at = lambda t, r: g.cumulative_at(t + r) - g.cumulative_at(t - r)  # noqa: E731
+    ts = np.atleast_1d(np.asarray(targets, dtype=float))
+    out = np.empty(ts.size)
+    for i, t in enumerate(ts):
+        best = sum(_ref_one_sided_limits(g, t)) / 2.0
+        radii = np.unique(np.abs(g.nodes - t))
+        radii = radii[radii > 0.0]
+        if radii.size:
+            best = max(best, float(np.max(mass_at(t, radii) / (2.0 * radii))))
+            r0, r1 = radii[:-1], radii[1:]
+            if r0.size:
+                n0, n1 = mass_at(t, r0), mass_at(t, r1)
+                nm = mass_at(t, (r0 + r1) / 2.0)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    aa = 2.0 * (n0 - 2.0 * nm + n1) / (r1 - r0) ** 2
+                    bb = (n1 - n0) / (r1 - r0) - aa * (r0 + r1)
+                    cc = n0 - aa * r0 * r0 - bb * r0
+                    rstar = np.sqrt(cc / aa)
+                ok = np.isfinite(rstar) & (rstar > r0) & (rstar < r1)
+                if np.any(ok):
+                    rs = rstar[ok]
+                    best = max(best, float(np.max(mass_at(t, rs) / (2.0 * rs))))
+        out[i] = best
+    return out
+
+
+_orders = st.one_of(
+    st.floats(1e-3, 3.0).map(Constant),
+    st.builds(PowerOffset, st.floats(1e-3, 1.5), st.floats(0.05, 1.5), st.floats(0.25, 3.0)),
+    st.builds(LogPowerOffset, st.floats(1e-3, 1.5), st.floats(0.05, 1.5), st.floats(0.25, 3.0)),
+    st.just(ReciprocalLog()),
+)
+
+
+@st.composite
+def _grid_functions(draw):
+    """Linear or step f on [lo, hi] inside [0, 1], often the whole interval.
+
+    Step nodes are free floats.  Linear nodes sit on a 512-cell grid of
+    [lo, hi]: a linear cell much shorter than its distance d to the target
+    loses about eps * d / h of its slope term in both implementations (see
+    test_short_linear_cell_far_from_target), so there the two disagree by
+    roundoff of a wrong answer and the reference is no oracle.
+    """
+    lo = draw(st.sampled_from([0.0, 0.0, 0.1, 0.37]))
+    hi = draw(st.sampled_from([1.0, 1.0, 0.6, 0.83]))
+    kind = draw(st.sampled_from(["linear", "step"]))
+    if kind == "step":
+        inner = np.asarray(draw(st.lists(st.floats(lo, hi), max_size=30)))
+    else:
+        inner = lo + (hi - lo) * np.asarray(draw(st.lists(st.integers(1, 511), max_size=30))) / 512
+    nodes = np.unique(np.concatenate(([lo, hi], inner)))
+    values = draw(st.lists(st.floats(-2.0, 2.0), min_size=nodes.size, max_size=nodes.size))
+    return GridFunction(nodes, values, kind)
+
+
+@st.composite
+def _targets(draw, r):
+    """Both ends of [0, r] and free points, which may fall outside f's support."""
+    free = draw(st.lists(st.floats(0.0, r), min_size=1, max_size=60))
+    return np.concatenate(([0.0, r], free))
+
+
+def _assert_matches_reference(got, ref, f):
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(f.values))))
+    assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref) + floor)
+
+
+class TestBlockedSweepsAgainstReference:
+    @given(alpha=_orders, f=_grid_functions(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rl_values(self, alpha, f, data):
+        ts = np.concatenate((data.draw(_targets(1.0)), f.nodes))
+        _assert_matches_reference(rl_values(alpha, f, ts), ref_rl_values(alpha, f, ts), f)
+
+    @given(alpha=_orders, f=_grid_functions(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_q_values(self, alpha, f, data):
+        r = f.domain[1]
+        ts = np.concatenate((data.draw(_targets(r)), f.nodes))
+        # an order vanishing at 0 makes Q raise NumericalError at t = 0
+        ts = ts[ts > 0.0] if alpha.eval(0.0) <= 0.0 else ts
+        _assert_matches_reference(q_values(alpha, f, ts), ref_q_values(alpha, f, ts), f)
+
+    @given(f=_grid_functions(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_maximal_values(self, f, data):
+        ts = np.concatenate((data.draw(_targets(1.0)), f.nodes, (f.nodes[:-1] + f.nodes[1:]) / 2))
+        ref = ref_maximal_values(f, ts)
+        assert np.all(np.abs(maximal_values(f, ts) - ref) <= 1e-12 * np.maximum(ref, 1.0))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a linear cell of width h at distance d loses eps*d/h of its slope term",
+    )
+    def test_short_linear_cell_far_from_target(self):
+        # f rises 0 -> 1 over [0, 2^-52], then falls linearly to 0 at 1/8; at
+        # t = 1/8 the exact value is 0.13298076013381 (50-digit quadrature)
+        f = GridFunction((0.0, 2.0**-52, 0.125, 1.0), (0.0, 1.0, 0.0, 0.0))
+        assert rl_values(Constant(0.5), f, [0.125])[0] == pytest.approx(
+            0.13298076013381, rel=1e-6
+        )
+
+    def test_block_boundaries(self):
+        # more targets than one block, in an order that is not sorted
+        f = GridFunction(np.linspace(0.0, 1.0, 41), np.cos(7.0 * np.linspace(0.0, 1.0, 41)))
+        ts = np.random.default_rng(3).permutation(np.linspace(0.0, 1.0, 301))
+        alpha = PowerOffset(0.5, 1.0, 2.0)
+        _assert_matches_reference(rl_values(alpha, f, ts), ref_rl_values(alpha, f, ts), f)
+        _assert_matches_reference(q_values(alpha, f, ts), ref_q_values(alpha, f, ts), f)
+        assert np.array_equal(maximal_values(f, ts), ref_maximal_values(f, ts))
+
+    @pytest.mark.parametrize(
+        "values, first",
+        [((1.0, 0.9, 0.4, -0.2, -0.5), 0.9), ((-0.5, -0.1, 0.3, 0.8, 1.0), 0.1)],
+    )
+    @pytest.mark.parametrize("apply", [rl_values, q_values])
+    def test_nonpositive_order_names_first_target(self, apply, values, first):
+        class Tabled(OrderFunction):
+            def _eval_array(self, t):
+                return np.interp(t, np.linspace(0.0, 1.0, 5), values)
+
+        ts = np.array([0.1, 0.9, 0.6, 0.95, 0.7])
+        with pytest.raises(NumericalError) as new:
+            apply(Tabled(), ONE, ts)
+        ref = ref_rl_values if apply is rl_values else ref_q_values
+        with pytest.raises(NumericalError) as old:
+            ref(Tabled(), ONE, ts)
+        assert str(new.value) == str(old.value)
+        assert f"t={first}:" in str(new.value)
