@@ -5,14 +5,13 @@ Order profiles are given with a small spec grammar (see --help of any
 subcommand): const:<a>, ex1:<a0>,<lam>,<gamma>, ex2:..., ex3:...,
 ex4:<gamma>, reclog, or csv:<path> for a tabulated profile.  Input functions
 are the builtins one, ramp, cos3, or csv:<path>.  Exit codes: 0 success,
-2 usage or validation failure, 3 numerical failure.  VARFRAC_THREADS caps
-internal parallelism; a fixed --seed makes randomized suites byte-identical.
+2 usage or validation failure, 3 numerical failure.  A fixed --seed makes
+randomized suites byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -20,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import atomic_write_text, read_table
 from .core import (
     GridFunction,
     K0,
     NumericalError,
     QuadratureConfig,
-    _atomic_write_text,
     maximal_values,
     q_values,
     rl_values,
@@ -53,10 +52,10 @@ from .orders import (
 )
 from .spectral import (
     OperatorMatrix,
+    _spectrum_text,
     approximation_numbers,
     assemble_matrix,
     singular_values,
-    spectrum_to_csv,
 )
 
 __all__ = ["RunConfig", "main"]
@@ -207,7 +206,7 @@ def _emit(text: str, output: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if output:
-        _atomic_write_text(output, text)
+        atomic_write_text(output, text)
     else:
         sys.stdout.write(text)
 
@@ -280,23 +279,11 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _spectrum_text(values: np.ndarray) -> str:
-    lines = ["k,sigma_k"]
-    lines += [f"{k},{repr(float(v))}" for k, v in enumerate(values, start=1)]
-    return "\n".join(lines)
-
-
 def _load_matrix(path: str) -> np.ndarray:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            rows.append([float(x) for x in row])
-    if not rows:
+    entries, _ = read_table(path)
+    if entries.size == 0:
         raise ValueError(f"no matrix rows in {path}")
-    entries = np.asarray(rows, dtype=float)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+    if entries.shape[0] != entries.shape[1]:
         raise ValueError(f"matrix in {path} is not square: shape {entries.shape}")
     return entries
 
@@ -322,11 +309,7 @@ def cmd_entropy(cfg: RunConfig, args) -> int:
         _emit(_json_dumps(payload), None)
         return EXIT_OK
     if not cfg.output:
-        lines = ["n,lower,upper,predicted"]
-        for i, n in enumerate(est.n_values):
-            lo = repr(est.lower[i]) if est.lower is not None else ""
-            lines.append(f"{n},{lo},{repr(est.upper[i])},{repr(est.predicted[i])}")
-        _emit("\n".join(lines), None)
+        _emit(est.csv_text(), None)
     return EXIT_OK
 
 
@@ -431,12 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--f", default="one", help="input: one, ramp, cos3, or csv:<path>")
     sp.add_argument("--targets", default="65", help="point count or comma-separated points")
-    sp.add_argument(
-        "--n-cells",
-        type=int,
-        default=256,
-        help="deprecated and ignored: product integration is exact on the nodes of f",
-    )
     sp.add_argument("--adjoint", action="store_true", help="apply the right-sided operator")
     sp.set_defaults(func=cmd_apply)
 

@@ -18,15 +18,14 @@ cell-averaging projection onto piecewise constants.
 
 from __future__ import annotations
 
-import os
-import tempfile
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma as _scipy_gamma
 
+from ._csvio import atomic_write_text, read_table
 from .orders import OrderFunction
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "maximal_function",
     "besov_norm",
     "project_average",
-    "thread_count",
-    "parallel_map",
 ]
 
 
@@ -60,15 +57,25 @@ class NumericalError(ArithmeticError):
 GAMMA_MIN_LOCATION = 1.4616321449683623
 
 #: global minimum of the gamma function on (0, inf), ~0.8856031944
-K0 = float(_scipy_gamma(GAMMA_MIN_LOCATION))
+K0 = math.gamma(GAMMA_MIN_LOCATION)
+
+# Gamma(x) exceeds the largest double just above this argument, where
+# math.gamma raises OverflowError; larger arguments give inf instead
+_GAMMA_MAX = 171.624376956302
 
 
 def gamma(x):
-    """Gamma function for strictly positive arguments (scalar or array)."""
+    """Gamma function for strictly positive arguments (scalar or array).
+
+    math.gamma is mapped over the elements; arguments past the double range
+    (above 171.624...) give inf.
+    """
     arr = np.asarray(x, dtype=float)
     if arr.size and np.min(arr) <= 0.0:
         raise ValueError("gamma requires strictly positive arguments")
-    out = _scipy_gamma(arr)
+    args = np.minimum(arr, _GAMMA_MAX).ravel().tolist()
+    out = np.fromiter(map(math.gamma, args), float, arr.size).reshape(arr.shape)
+    out[arr > _GAMMA_MAX] = math.inf
     if arr.ndim == 0:
         return float(out)
     return out
@@ -326,59 +333,17 @@ class GridFunction:
         lines.extend(
             f"{float(x)!r},{float(v)!r}" for x, v in zip(self.nodes, self.values)
         )
-        _atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_text(path, "\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
         """Read node,value rows; inverse of to_csv.
 
-        '#' lines are comments, except that `# interpretation=<name>` sets
-        the interpretation (default linear).  Rows that do not parse as two
-        numbers are header rows while no data row has been read, and an
-        error after that.
+        `# interpretation=<name>` sets the interpretation (default linear);
+        header rows before the first data row are skipped.
         """
-        interpretation = "linear"
-        nodes: list[float] = []
-        values: list[float] = []
-        with open(path, newline="") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, val = line[1:].strip().partition("=")
-                    if key.strip() == "interpretation":
-                        interpretation = val.strip()
-                    continue
-                parts = line.split(",")
-                try:
-                    x, v = float(parts[0]), float(parts[1])
-                except (ValueError, IndexError):
-                    if not nodes:
-                        continue
-                    raise ValueError(
-                        f"{path}:{lineno}: need two numeric columns, got {line!r}"
-                    ) from None
-                nodes.append(x)
-                values.append(v)
-        return cls(np.asarray(nodes), np.asarray(values), interpretation)
-
-
-def _atomic_write_text(path, text: str) -> None:
-    """Write via a temp file + rename so failures never leave partial output."""
-    path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        table, directives = read_table(path, columns=2)
+        return cls(table[:, 0], table[:, 1], directives.get("interpretation", "linear"))
 
 
 # -- the fractional integral ----------------------------------------------
@@ -450,59 +415,36 @@ def _product_integral(
     return out
 
 
-def rl_values(
-    alpha: OrderFunction,
-    f: GridFunction,
-    targets,
-    cfg: QuadratureConfig | None = None,
-) -> np.ndarray:
+def rl_values(alpha: OrderFunction, f: GridFunction, targets) -> np.ndarray:
     """(R f)(t) at each target t, exact for the declared interpolant of f.
 
     The target t = 0 returns 0 (integral over an empty interval).  Raises
     NumericalError naming the first positive target where alpha(t) <= 0.
-    cfg is accepted for compatibility and not read: the integration is
-    exact on the nodes of f.
     """
     ts = _checked_targets(targets, 1.0)
     return _product_integral(alpha, f, ts, ts > 0.0, right=False)
 
 
-def rl_apply(
-    alpha: OrderFunction,
-    f: GridFunction,
-    targets,
-    cfg: QuadratureConfig | None = None,
-) -> GridFunction:
+def rl_apply(alpha: OrderFunction, f: GridFunction, targets) -> GridFunction:
     """rl_values packaged as a piecewise-linear GridFunction on the targets."""
     ts = np.asarray(targets, dtype=float)
-    return GridFunction(ts, rl_values(alpha, f, ts, cfg), "linear")
+    return GridFunction(ts, rl_values(alpha, f, ts), "linear")
 
 
-def q_values(
-    alpha: OrderFunction,
-    f: GridFunction,
-    targets,
-    cfg: QuadratureConfig | None = None,
-) -> np.ndarray:
+def q_values(alpha: OrderFunction, f: GridFunction, targets) -> np.ndarray:
     """(Q f)(t) = (1/Gamma(a(t))) int_t^r (s-t)^(a(t)-1) f(s) ds, r = right end of f.
 
     The target t = r returns 0.  Raises NumericalError naming the first
-    target t < r where alpha(t) <= 0.  cfg is accepted and not read, as in
-    rl_values.
+    target t < r where alpha(t) <= 0.
     """
     r = f.domain[1]
     ts = _checked_targets(targets, r)
     return _product_integral(alpha, f, ts, ts < r, right=True)
 
 
-def q_apply(
-    alpha: OrderFunction,
-    f: GridFunction,
-    targets,
-    cfg: QuadratureConfig | None = None,
-) -> GridFunction:
+def q_apply(alpha: OrderFunction, f: GridFunction, targets) -> GridFunction:
     ts = np.asarray(targets, dtype=float)
-    return GridFunction(ts, q_values(alpha, f, ts, cfg), "linear")
+    return GridFunction(ts, q_values(alpha, f, ts), "linear")
 
 
 # -- norms ------------------------------------------------------------------
@@ -643,29 +585,3 @@ def project_average(f: GridFunction, n: int) -> GridFunction:
     cum = f.cumulative_at(edges)
     means = np.diff(cum) / np.diff(edges)
     return GridFunction(edges, np.append(means, means[-1]), "step")
-
-
-def thread_count() -> int:
-    """Worker-thread cap read from the VARFRAC_THREADS environment variable."""
-    raw = os.environ.get("VARFRAC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(n, 1)
-
-
-def parallel_map(fn: Callable, items) -> list:
-    """Map fn over items preserving order, threaded when VARFRAC_THREADS > 1.
-
-    Each item is computed independently, so the result is identical for any
-    thread count; the setting only changes wall time.
-    """
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))

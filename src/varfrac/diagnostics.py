@@ -195,7 +195,7 @@ def _octave_edges(lo: float, hi: float, extra=()) -> np.ndarray:
 # L1 criteria
 
 
-def l1_criterion_integral(alpha: OrderFunction, cfg: QuadratureConfig | None = None) -> NormReport:
+def l1_criterion_integral(alpha: OrderFunction) -> NormReport:
     """Integrability criterion: int_0^1 alpha(t) t^(alpha(t) - 1) dt.
 
     Truncated at each epsilon of the doubling schedule; the tail below the
@@ -258,11 +258,7 @@ def _l1_inner_integral(alpha: OrderFunction, s: float) -> float:
     return _panel_gauss(integrand, edges) + sliver
 
 
-def l1_operator_norm(
-    alpha: OrderFunction,
-    s_grid=None,
-    cfg: QuadratureConfig | None = None,
-) -> NormReport:
+def l1_operator_norm(alpha: OrderFunction, s_grid=None) -> NormReport:
     """Operator norm on L1: sup over s of int_s^1 (t-s)^(alpha(t)-1)/Gamma dt.
 
     The supremum is taken over s_grid (default: a coarse sweep of [0.05,
@@ -417,12 +413,7 @@ def classify_compactness(
     )
 
 
-def witness_separation(
-    alpha: OrderFunction,
-    p: float,
-    n_max: int,
-    cfg: QuadratureConfig | None = None,
-) -> np.ndarray:
+def witness_separation(alpha: OrderFunction, p: float, n_max: int) -> np.ndarray:
     """Norms of localized witnesses under the operator, n = 1..n_max.
 
     The witness h_n is the unit-Lp-norm indicator 2^((n+1)/p) on the dyadic
@@ -447,7 +438,7 @@ def witness_separation(
             np.array([left, right]), np.array([height, height]), interpretation="step"
         )
         targets = left + (right - left) * ramp
-        vals = rl_values(alpha, h, targets, cfg)
+        vals = rl_values(alpha, h, targets)
         out[n - 1] = lp_norm(GridFunction(targets, vals), p)
     return out
 
@@ -480,15 +471,15 @@ def verify_semigroup(
         targets = np.linspace(0.0, hi, 65)
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
 
-    lhs = rl_values(Shifted(alpha, beta), f, targets, cfg)
+    lhs = rl_values(Shifted(alpha, beta), f, targets)
 
     n = cfg.n_cells
     gexp = 2.0 / min(beta, 1.0)
     gexp = min(gexp, 8.0)
     nodes = hi * (np.arange(n + 1) / n) ** gexp
     nodes = np.unique(np.concatenate((nodes, f.nodes)))
-    g = GridFunction(nodes, rl_values(Constant(beta), f, nodes, cfg))
-    rhs = rl_values(alpha, g, targets, cfg)
+    g = GridFunction(nodes, rl_values(Constant(beta), f, nodes))
+    rhs = rl_values(alpha, g, targets)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -522,16 +513,16 @@ def verify_scaling(
 
     rescaled = alpha.rescale(r)
     if r == 1.0:
-        lhs = rl_values(alpha, f, targets, cfg)
-        rhs = rl_values(rescaled, f, targets, cfg)
+        lhs = rl_values(alpha, f, targets)
+        rhs = rl_values(rescaled, f, targets)
         return float(np.max(np.abs(lhs - rhs)))
 
     jp = GridFunction(f.nodes * r, f.values * r ** (-1.0 / p), f.interpretation)
-    lhs = r ** (1.0 / q) * rl_values(alpha, jp, r * targets, cfg)
+    lhs = r ** (1.0 / q) * rl_values(alpha, jp, r * targets)
 
     n = cfg.n_cells
     nodes = np.unique(np.concatenate(((np.arange(n + 1) / n) ** 4, f.nodes)))
-    g = GridFunction(nodes, rl_values(rescaled, f, nodes, cfg))
+    g = GridFunction(nodes, rl_values(rescaled, f, nodes))
     multiplier = r ** (np.asarray(rescaled.eval(targets)) + 1.0 / q - 1.0 / p)
     rhs = multiplier * g(targets)
     return float(np.max(np.abs(lhs - rhs)))

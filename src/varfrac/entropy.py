@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._csvio import atomic_write_text
 from .diagnostics import local_norm_bound
-from .core import _atomic_write_text
 from .orders import ExpOffset, LogPower, LogPowerOffset, OrderFunction, PowerOffset
 
 __all__ = [
@@ -164,13 +164,17 @@ class EntropyEstimate:
     def with_fit(self, fit: RateFit) -> "EntropyEstimate":
         return replace(self, fit=fit)
 
-    def to_csv(self, path: str) -> None:
+    def csv_text(self) -> str:
+        """The bracket as CSV: n,lower,upper,predicted, absent columns left empty."""
         lines = ["n,lower,upper,predicted"]
         for i, n in enumerate(self.n_values):
             lo = repr(self.lower[i]) if self.lower is not None else ""
             pred = repr(self.predicted[i]) if self.predicted is not None else ""
             lines.append(f"{n},{lo},{repr(self.upper[i])},{pred}")
-        _atomic_write_text(path, "\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    def to_csv(self, path: str) -> None:
+        atomic_write_text(path, self.csv_text())
 
     def fit_json(self) -> str:
         payload = None if self.fit is None else self.fit.to_dict()

@@ -22,12 +22,13 @@ Conventions
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from ._csvio import read_table
 
 __all__ = [
     "OrderFunctionError",
@@ -423,25 +424,12 @@ class Tabulated(OrderFunction):
 
     @classmethod
     def from_csv(cls, path, interpolation: str = "linear") -> "Tabulated":
-        """Load (t, alpha) samples from a two-column CSV with a header row."""
-        nodes: list[float] = []
-        values: list[float] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise OrderFunctionError(f"{path}: empty CSV")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) < 2:
-                    raise OrderFunctionError(f"{path}:{lineno}: need two columns")
-                try:
-                    nodes.append(float(row[0]))
-                    values.append(float(row[1]))
-                except ValueError as exc:
-                    raise OrderFunctionError(f"{path}:{lineno}: {exc}") from exc
-        return cls(tuple(nodes), tuple(values), interpolation)
+        """Load (t, alpha) samples from a two-column CSV; a header row is optional."""
+        try:
+            table, _ = read_table(path, columns=2)
+        except ValueError as exc:
+            raise OrderFunctionError(str(exc)) from None
+        return cls(tuple(table[:, 0]), tuple(table[:, 1]), interpolation)
 
 
 @dataclass(frozen=True)

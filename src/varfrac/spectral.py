@@ -27,9 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .core import QuadratureConfig, _atomic_write_text, gamma, parallel_map
+from ._csvio import atomic_write_text
+from .core import gamma
 from .orders import OrderFunction
 
 __all__ = [
@@ -90,7 +90,7 @@ class OperatorMatrix:
         lines = ["# " + header]
         for row in self.entries:
             lines.append(",".join(repr(float(x)) for x in row))
-        _atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,6 @@ def assemble_matrix(
     r: float = 1.0,
     p: float = 2.0,
     q: float = 2.0,
-    cfg: QuadratureConfig | None = None,
 ) -> OperatorMatrix:
     """Assemble the lower-triangular discretization on n equal cells of [0, r].
 
@@ -140,10 +139,11 @@ def assemble_matrix(
     units of h with x the node's offset in I_i, never from absolute
     positions.  The powers ((i - k) + x)^a(t), whose common factor h^a(t)
     goes into the quadrature weights, are evaluated once for the edges
-    e_0..e_i in an (edges x points) array, column j's moment is the
-    difference of the adjacent edge rows j and j+1 (the edge e_{i+1} lies
-    right of I_i and contributes zero), and the weighted moments are summed
-    along the contiguous points axis, so every entry is reduced in the same
+    e_0..e_i into one (edges x points) buffer per row, which is then turned
+    in place into column j's moment, the difference of the adjacent edge
+    rows j and j+1 (the edge e_{i+1} lies right of I_i and contributes
+    zero), and weighted; the weighted moments are summed along the
+    contiguous points axis, so every entry is reduced in the same
     order whatever the row width.  For a constant order, entry (i, j) is
     therefore a function of i - j alone: the matrix is exactly
     lower-triangular Toeplitz and its diagonal is exactly flat.
@@ -164,23 +164,19 @@ def assemble_matrix(
     offs = (panel_mid[:, None] + panel_half[:, None] * _GAUSS_X8).ravel()
     wts = (panel_half[:, None] * _GAUSS_W8).ravel()
 
-    def row(i: int) -> np.ndarray:
+    entries = np.zeros((n, n))
+    for i in range(n):
         a = np.asarray(alpha.eval(edges[i] + h * offs))
         # (t - e_k) / h for k = 0..i in local coordinates of I_i: the same
         # i - k gives bitwise the same distances whatever the cell's position
-        dist = np.arange(i, -1, -1, dtype=float)[:, None] + offs
-        powers = np.power(dist, a)
-        # moment of column j is powers[j] - powers[j+1]; (t - e_{i+1})_+ = 0
-        # on I_i, so the diagonal moment is powers[i] itself
-        moments = -np.diff(powers, axis=0, append=0.0)
-        weights = h ** (a + 1.0) * wts / (a * gamma(a))
+        m = np.arange(i, -1, -1, dtype=float)[:, None] + offs
+        np.power(m, a, out=m)
+        # moment of column j is the power at edge j minus the one at edge
+        # j+1; (t - e_{i+1})_+ = 0 on I_i, so the diagonal keeps its power
+        m[:-1] -= m[1:]
+        m *= h ** (a + 1.0) * wts / (a * gamma(a))
         # contiguous points axis: one summation order for every entry
-        return prefactor * np.sum(moments * weights, axis=1)
-
-    rows = parallel_map(row, range(n))
-    entries = np.zeros((n, n))
-    for i, vals in enumerate(rows):
-        entries[i, : i + 1] = vals
+        entries[i, : i + 1] = prefactor * np.sum(m, axis=1)
     return OperatorMatrix(n=n, r=r, p=p, q=q, entries=entries)
 
 
@@ -195,7 +191,6 @@ def approximation_numbers(
     alpha: OrderFunction,
     n_max: int,
     n_disc: int | None = None,
-    cfg: QuadratureConfig | None = None,
     r: float = 1.0,
 ) -> ApproximationReport:
     """Approximation numbers a_1..a_n_max of the operator on L2[0, r].
@@ -215,8 +210,8 @@ def approximation_numbers(
         raise ValueError(f"need n_disc >= 8*n_max = {8 * n_max}, got {n_disc}")
     if 2 * n_disc > 4096:
         raise ValueError("n_disc capped at 2048 so the doubled check stays dense")
-    sv = singular_values(assemble_matrix(alpha, n_disc, r=r, cfg=cfg))[:n_max]
-    sv2 = singular_values(assemble_matrix(alpha, 2 * n_disc, r=r, cfg=cfg))[:n_max]
+    sv = singular_values(assemble_matrix(alpha, n_disc, r=r))[:n_max]
+    sv2 = singular_values(assemble_matrix(alpha, 2 * n_disc, r=r))[:n_max]
     drift = float(np.max(np.abs(sv / sv2 - 1.0)))
     return ApproximationReport(values=sv, n_disc=n_disc, drift=drift, converged=drift < 0.01)
 
@@ -252,7 +247,7 @@ def ball_volume_root(n: int, p: float) -> float:
     if not p >= 1.0:
         raise ValueError(f"need p >= 1, got {p}")
     inv = 0.0 if math.isinf(p) else 1.0 / p
-    return 2.0 * math.gamma(1.0 + inv) * math.exp(-float(gammaln(n * inv + 1.0)) / n)
+    return 2.0 * math.gamma(1.0 + inv) * math.exp(-math.lgamma(n * inv + 1.0) / n)
 
 
 def volumetric_entropy_lower(m: OperatorMatrix) -> VolumetricBound:
@@ -311,10 +306,21 @@ def index_domination_report(sv_smooth, sv_rough, slack: float = 0.01) -> dict:
     }
 
 
-def spectrum_to_csv(values, path: str) -> None:
-    """Write a singular spectrum as CSV with columns k, sigma_k."""
+def _spectrum_text(values) -> str:
+    """CSV text of a descending singular spectrum: columns k, sigma_k.
+
+    A dense SVD of an n x n matrix resolves singular values only down to
+    about n * eps * sigma_1, so values below that floor print as 0.0; their
+    digits would be roundoff noise.
+    """
     vals = np.asarray(values, dtype=float)
+    floor = vals.size * np.finfo(float).eps * np.max(vals, initial=0.0)
+    shown = np.where(vals >= floor, vals, 0.0)
     lines = ["k,sigma_k"]
-    for k, v in enumerate(vals, start=1):
-        lines.append(f"{k},{repr(float(v))}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    lines += [f"{k},{float(v)!r}" for k, v in enumerate(shown, start=1)]
+    return "\n".join(lines) + "\n"
+
+
+def spectrum_to_csv(values, path: str) -> None:
+    """Write a singular spectrum as CSV with columns k, sigma_k (see _spectrum_text)."""
+    atomic_write_text(path, _spectrum_text(values))

@@ -3,6 +3,9 @@ output determinism."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from varfrac.orders import (
     ReciprocalLog,
     Tabulated,
 )
+from varfrac.spectral import assemble_matrix, singular_values
 
 
 def run(capsys, *argv):
@@ -158,13 +162,18 @@ class TestApply:
         _, rows = csv_rows(out)
         assert [float(v) for _, v in rows] == pytest.approx([0.25, 1.25], abs=1e-14)
 
-    def test_n_cells_is_ignored(self, capsys):
-        argv = ("apply", "--alpha", "ex1:0.5,1,2", "--f", "cos3", "--targets", "33")
-        rc, plain, _ = run(capsys, *argv)
+    def test_n_cells_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", "--alpha", "ex1:0.5,1,2", "--f", "cos3", "--n-cells", "256"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--n-cells" in capsys.readouterr().err
+
+    def test_order_past_gamma_overflow_gives_zero(self, capsys):
+        # Gamma(200) overflows a double: 1/Gamma is 0, not an error
+        rc, out, _ = run(capsys, "apply", "--alpha", "const:200", "--targets", "0.5,1.0")
         assert rc == EXIT_OK
-        for n_cells in ("1", "4096"):
-            rc, out, _ = run(capsys, *argv, "--n-cells", n_cells)
-            assert rc == EXIT_OK and out == plain
+        _, rows = csv_rows(out)
+        assert [v for _, v in rows] == ["0.0", "0.0"]
 
 
 class TestDiagnose:
@@ -228,6 +237,32 @@ class TestSpectrum:
         assert rc == EXIT_OK
         _, rows = csv_rows(out)
         assert [float(v) for _, v in rows] == [3.0, 2.0, 1.0]
+
+    def test_matrix_with_header_row(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("c0,c1,c2\n3,0,0\n0,2,0\n0,0,1\n")
+        rc, out, _ = run(capsys, "spectrum", "--matrix", str(path))
+        assert rc == EXIT_OK
+        _, rows = csv_rows(out)
+        assert [float(v) for _, v in rows] == [3.0, 2.0, 1.0]
+
+    def test_matrix_late_non_numeric_row_rejected(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("3,0,0\n0,2,0\nc0,c1,c2\n0,0,1\n")
+        rc, out, err = run(capsys, "spectrum", "--matrix", str(path))
+        assert rc == EXIT_USAGE and out == ""
+        assert "m.csv:3:" in err
+
+    def test_sub_roundoff_values_print_as_zero(self, capsys):
+        rc, out, _ = run(capsys, "spectrum", "--alpha", "ex1:0.5,1,1", "--n", "256")
+        assert rc == EXIT_OK
+        sv = singular_values(assemble_matrix(PowerOffset(0.5, 1.0, 1.0), 256))
+        floor = 256 * np.finfo(float).eps * sv[0]
+        _, rows = csv_rows(out)
+        assert len(rows) == 256 and sv[-1] < floor
+        assert rows[-1] == ["256", "0.0"]
+        for (k, text), v in zip(rows, sv):
+            assert text == (repr(float(v)) if v >= floor else "0.0"), k
 
     def test_non_finite_matrix_rejected(self, tmp_path, capsys):
         path = tmp_path / "m.csv"
@@ -325,6 +360,16 @@ class TestVerify:
             )
             assert rc == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, varfrac.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestExitCodes:

@@ -261,6 +261,27 @@ class TestTabulated:
         assert a.eval(0.5) == 0.75
         assert a.infimum(0.0, 1.0) == 0.5
 
+    def test_csv_without_header_keeps_first_sample(self, tmp_path):
+        path = tmp_path / "alpha.csv"
+        path.write_text("0,0.5\n0.5,0.6\n1,0.9\n")
+        a = Tabulated.from_csv(str(path))
+        assert a.domain == (0.0, 1.0)
+        assert a.eval(0.0) == 0.5
+
+    def test_csv_comment_lines(self, tmp_path):
+        path = tmp_path / "alpha.csv"
+        path.write_text("# order table\nt,alpha\n0,0.5\n# midpoint\n0.5,0.75\n1,0.6\n")
+        assert Tabulated.from_csv(str(path)).nodes == (0.0, 0.5, 1.0)
+
+    def test_csv_bad_rows_name_the_line(self, tmp_path):
+        path = tmp_path / "alpha.csv"
+        path.write_text("t,alpha\n0,0.5\nt,alpha\n1,0.6\n")
+        with pytest.raises(OrderFunctionError, match=r"alpha\.csv:3:"):
+            Tabulated.from_csv(str(path))
+        path.write_text("t,alpha\n0,0.5\n1,0.6,0.7\n")
+        with pytest.raises(OrderFunctionError, match=r"alpha\.csv:3:"):
+            Tabulated.from_csv(str(path))
+
 
 class TestShifted:
     def test_adds_offset_pointwise(self):

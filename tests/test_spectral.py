@@ -30,22 +30,36 @@ def diag_matrix(d, p=2.0, q=2.0) -> OperatorMatrix:
     return OperatorMatrix(n=d.size, r=1.0, p=p, q=q, entries=np.diag(d))
 
 
+# orders the assembly is compared on against the slow references below
+REFERENCE_ORDERS = [
+    Constant(0.05),
+    Constant(0.7),
+    PowerOffset(0.5, 1.0, 1.0),
+    LogPowerOffset(0.5, 1.0, 1.0),
+    ReciprocalLog(),
+]
+
+
+def graded_rule():
+    """assemble_matrix's outer rule on a unit cell: 8-point Gauss on 25
+    panels graded 2^-24..2^-1 toward the left edge; (offsets, weights)."""
+    x8, w8 = np.polynomial.legendre.leggauss(8)
+    rel = np.concatenate(([0.0], 2.0 ** -np.arange(24, -1, -1, dtype=float)))
+    half = 0.5 * (rel[1:] - rel[:-1])
+    mid = 0.5 * (rel[1:] + rel[:-1])
+    return (mid[:, None] + half[:, None] * x8).ravel(), (half[:, None] * w8).ravel()
+
+
 def reference_entries(alpha, n: int, r: float = 1.0, p: float = 2.0, q: float = 2.0):
     """Slow row-by-row assembly in absolute coordinates, summed over axis 0.
 
-    Same quadrature rule as assemble_matrix (8-point Gauss on 25 panels
-    graded 2^-24..2^-1 toward the left edge of each cell) with the textbook
+    Same quadrature rule as assemble_matrix (graded_rule) with the textbook
     moments ((t - u)^a - (t - v)_+^a) / a formed from absolute distances.
     """
     h = r / n
     prefactor = (n / r) ** (1.0 / p - 1.0 / q + 1.0)
     edges = h * np.arange(n + 1)
-    x8, w8 = np.polynomial.legendre.leggauss(8)
-    rel = np.concatenate(([0.0], 2.0 ** -np.arange(24, -1, -1, dtype=float)))
-    half = 0.5 * (rel[1:] - rel[:-1])
-    mid = 0.5 * (rel[1:] + rel[:-1])
-    offs = (mid[:, None] + half[:, None] * x8).ravel()
-    wts = (half[:, None] * w8).ravel()
+    offs, wts = graded_rule()
     out = np.zeros((n, n))
     for i in range(n):
         t = edges[i] + h * offs
@@ -55,6 +69,29 @@ def reference_entries(alpha, n: int, r: float = 1.0, p: float = 2.0, q: float = 
         lower = np.power(np.clip(tc - edges[None, 1 : i + 2], 0.0, None), a)
         weights = (h * wts / gamma(a[:, 0]))[:, None]
         out[i, : i + 1] = prefactor * np.sum(weights * (upper - lower) / a, axis=0)
+    return out
+
+
+def closure_entries(alpha, n: int, r: float = 1.0, p: float = 2.0, q: float = 2.0):
+    """The per-row closure assemble_matrix mapped over its rows before the
+    in-place loop: local-coordinate edge powers, moments by -np.diff with an
+    appended zero row, weighted and summed along the points axis."""
+    h = r / n
+    prefactor = (n / r) ** (1.0 / p - 1.0 / q + 1.0)
+    edges = h * np.arange(n + 1)
+    offs, wts = graded_rule()
+
+    def row(i: int) -> np.ndarray:
+        a = np.asarray(alpha.eval(edges[i] + h * offs))
+        dist = np.arange(i, -1, -1, dtype=float)[:, None] + offs
+        powers = np.power(dist, a)
+        moments = -np.diff(powers, axis=0, append=0.0)
+        weights = h ** (a + 1.0) * wts / (a * gamma(a))
+        return prefactor * np.sum(moments * weights, axis=1)
+
+    out = np.zeros((n, n))
+    for i in range(n):
+        out[i, : i + 1] = row(i)
     return out
 
 
@@ -84,17 +121,7 @@ class TestAssembly:
             band = np.diag(e, -k)
             assert np.all(band == band[0]), f"subdiagonal {k}"
 
-    @pytest.mark.parametrize(
-        "alpha",
-        [
-            Constant(0.05),
-            Constant(0.7),
-            PowerOffset(0.5, 1.0, 1.0),
-            LogPowerOffset(0.5, 1.0, 1.0),
-            ReciprocalLog(),
-        ],
-        ids=repr,
-    )
+    @pytest.mark.parametrize("alpha", REFERENCE_ORDERS, ids=repr)
     def test_matches_absolute_coordinate_reference(self, alpha):
         n = 64
         got = assemble_matrix(alpha, n).entries
@@ -102,6 +129,11 @@ class TestAssembly:
         assert np.array_equal(got == 0.0, want == 0.0)
         low = np.tril_indices(n)
         assert np.max(np.abs(got[low] / want[low] - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", REFERENCE_ORDERS, ids=repr)
+    @pytest.mark.parametrize("n", [1, 2, 65, 128])
+    def test_in_place_loop_matches_row_closure_bitwise(self, alpha, n):
+        assert np.array_equal(assemble_matrix(alpha, n).entries, closure_entries(alpha, n))
 
     def test_diagonal_floor_holds(self):
         for alpha in (Constant(0.5), PowerOffset(0.5, 1.0, 1.0)):
@@ -159,6 +191,12 @@ class TestSpectrum:
         path = tmp_path / "s.csv"
         spectrum_to_csv([0.5, 0.25], str(path))
         assert path.read_text() == "k,sigma_k\n1,0.5\n2,0.25\n"
+
+    def test_spectrum_csv_prints_sub_roundoff_values_as_zero(self, tmp_path):
+        # floor = 3 * eps * 0.5: 1e-20 is below it, 1e-14 above
+        path = tmp_path / "s.csv"
+        spectrum_to_csv([0.5, 1e-14, 1e-20], str(path))
+        assert path.read_text() == "k,sigma_k\n1,0.5\n2,1e-14\n3,0.0\n"
 
 
 class TestApproximationNumbers:
@@ -255,6 +293,15 @@ class TestVolumetric:
 
     def test_ball_volume_root_no_overflow(self):
         assert math.isfinite(ball_volume_root(10**6, 2.0))
+
+    def test_ball_volume_root_matches_gammaln_formula(self):
+        special = pytest.importorskip("scipy.special")
+        for n in (1, 2, 7, 100, 10**6):
+            for p in (1.0, 1.5, 2.0, 7.0):
+                want = 2.0 * math.gamma(1.0 + 1.0 / p) * math.exp(
+                    -float(special.gammaln(n / p + 1.0)) / n
+                )
+                assert ball_volume_root(n, p) == pytest.approx(want, rel=1e-14)
 
 
 class TestBracket:
