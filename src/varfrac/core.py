@@ -101,6 +101,15 @@ class QuadratureConfig:
 _GAUSS_X16, _GAUSS_W16 = leggauss(16)
 
 
+def _gauss_panels(edges, x, w):
+    """Nodes and weights of the rule (x, w) on [-1, 1] mapped onto every
+    panel of a sorted edge array, as (panels x points) arrays."""
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return mid[:, None] + half[:, None] * x, half[:, None] * w
+
+
 def kernel_moment(t, a, u, v, k: int = 0):
     """Exact int_u^v (t-s)^(a-1) s^k ds for k in {0, 1}, with u < v <= t, a > 0.
 
@@ -472,11 +481,7 @@ def lp_norm(f: GridFunction, p) -> float:
     if p == 2.0:
         return float(np.sqrt(np.dot(h, (v0 * v0 + v0 * v1 + v1 * v1) / 3.0)))
     g = abs(f)
-    u, v = g.nodes[:-1], g.nodes[1:]
-    mid = (u + v) / 2.0
-    half = (v - u) / 2.0
-    x = mid[:, None] + half[:, None] * _GAUSS_X16[None, :]
-    w = half[:, None] * _GAUSS_W16[None, :]
+    x, w = _gauss_panels(g.nodes, _GAUSS_X16, _GAUSS_W16)
     vals = np.interp(x, g.nodes, g.values)
     return float(np.sum(w * vals**p) ** (1.0 / p))
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _GAUSS_W16, _GAUSS_X16, _gauss_panels
 from .core import GridFunction, QuadratureConfig, gamma, lp_norm, rl_values
 from .orders import Constant, OrderFunction, Shifted
 
@@ -46,8 +47,6 @@ __all__ = [
 # staying clear of double-precision underflow in every kernel power the
 # criteria evaluate.
 TRUNCATION_EPSILONS = (1e-3, 1e-6, 1e-12, 1e-24, 1e-48, 1e-96)
-
-_GAUSS_X16, _GAUSS_W16 = np.polynomial.legendre.leggauss(16)
 
 
 # --------------------------------------------------------------------------
@@ -171,12 +170,7 @@ def divergence_trend(
 
 def _panel_gauss(fn, edges: np.ndarray) -> float:
     """16-point Gauss on each cell of a sorted edge array, summed."""
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = mid[:, None] + half[:, None] * _GAUSS_X16
-    w = half[:, None] * _GAUSS_W16
+    x, w = _gauss_panels(edges, _GAUSS_X16, _GAUSS_W16)
     return float(np.sum(w * fn(x)))
 
 

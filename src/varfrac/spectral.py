@@ -7,17 +7,22 @@ of [0, r], giving the lower-triangular matrix
                int_{I_i} Gamma(alpha(t))^-1 int_{I_j cap [0,t]} (t-s)^(alpha(t)-1) ds dt.
 
 The inner integral is a closed-form kernel moment, the difference of
-(t - e_k)_+^alpha(t) at the two edges of I_j; the outer integral over I_i
-uses composite 8-point Gauss on panels graded toward the left edge of I_i,
-which is where the moments of the diagonal and subdiagonal columns lose
-smoothness.  Distances are taken in units of h from that left edge, each
-edge power is evaluated once per row, and every entry is summed in one
-fixed order, so a constant order gives an exactly Toeplitz matrix (entry
-(i, j) depends on i - j alone, bit for bit).  Singular values of this
-matrix are the approximation numbers of the discretized operator for
-p = q = 2; Carl's inequality converts approximation numbers into entropy
-upper bounds, and the volume comparison of mapped balls gives the matching
-lower bound.
+(t - e_k)_+^alpha(t) at the two edges of I_j, taken before the outer
+integral.  The outer integral over I_i splits I_i at every breakpoint of
+alpha inside it.  On each piece, only the two corner columns, the diagonal
+and the subdiagonal, whose moments lose smoothness at the left edge of I_i,
+use composite 8-point Gauss on panels graded toward the piece's left edge;
+every other column is analytic on the piece and uses plain 8-point Gauss.
+Pieces are processed in blocks, with alpha, gamma and the weights evaluated
+once per block.  Distances are taken in units of h from the left edge of
+I_i, and every entry is summed along the points axis in one fixed order, so
+a constant order gives an exactly Toeplitz matrix (entry (i, j) depends on
+i - j alone, bit for bit).
+
+Singular values of this matrix are the approximation numbers of the
+discretized operator for p = q = 2; Carl's inequality converts
+approximation numbers into entropy upper bounds, and the volume comparison
+of mapped balls gives the matching lower bound.
 """
 
 from __future__ import annotations
@@ -25,11 +30,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
 from ._csvio import atomic_write_text
-from .core import gamma
+from .core import _gauss_panels, gamma
 from .orders import OrderFunction
 
 __all__ = [
@@ -48,12 +54,22 @@ __all__ = [
     "spectrum_to_csv",
 ]
 
-_GAUSS_X8, _GAUSS_W8 = np.polynomial.legendre.leggauss(8)
+# Outer rule on a unit piece, in local units of h.  The corner columns use
+# 8-point Gauss on panels graded 2^-24..2^-1 toward the left edge: the
+# innermost panel [0, 2^-24] keeps the kernel corner at a panel edge, so only
+# that panel sees a non-smooth integrand and its mass is O(2^-24) of the
+# piece.  The other columns use one 8-point panel, whose nodes come last.
+_X8, _W8 = np.polynomial.legendre.leggauss(8)
+_GRADED = _gauss_panels(np.append(0.0, 2.0 ** -np.arange(24, -1, -1.0)), _X8, _W8)
+_PLAIN = _gauss_panels([0.0, 1.0], _X8, _W8)
+_CORNER = _GRADED[0].size
+_NODES = np.append(_GRADED[0], _PLAIN[0])
+_WEIGHTS = np.append(_GRADED[1], _PLAIN[1])
 
-# graded panels per outer cell: the innermost panel [0, 2^-24] keeps the
-# kernel corner of the diagonal column at a panel edge, so only that panel
-# sees a non-smooth integrand and its mass is O(2^-24) of the cell
-_PANEL_DEPTH = 24
+#: pieces per block: alpha, gamma and the weights are evaluated once per
+#: block.  Its (pieces x cells x 8) temporaries take 1 KiB per cell; 16
+#: halves them against 32 and runs within 10% of it.
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -128,25 +144,22 @@ def assemble_matrix(
 ) -> OperatorMatrix:
     """Assemble the lower-triangular discretization on n equal cells of [0, r].
 
-    Row i is computed in one vectorized sweep: the inner integral over
-    I_j cap [0, t] = [u, min(v, t)] is the exact kernel moment
-    ((t-u)^a - (t-v)_+^a)/a, and the outer t-integral over I_i runs
-    composite 8-point Gauss on panels graded toward the left edge of I_i
-    (relative widths 2^-1..2^-24), where the diagonal and subdiagonal
-    moments have their kernel corner.
+    In local coordinates t = e_i + h x and d = i - j, the inner integral
+    over I_j cap [0, t] is the exact kernel moment
+    h^a ((d + x)^a - (d - 1 + x)_+^a) / a, a difference taken before the
+    outer integral; h^a(t) goes into the weights, and d + x is formed from
+    the integer d, never from absolute positions.
 
-    The distances t - e_k are formed in local coordinates, (i - k) + x in
-    units of h with x the node's offset in I_i, never from absolute
-    positions.  The powers ((i - k) + x)^a(t), whose common factor h^a(t)
-    goes into the quadrature weights, are evaluated once for the edges
-    e_0..e_i into one (edges x points) buffer per row, which is then turned
-    in place into column j's moment, the difference of the adjacent edge
-    rows j and j+1 (the edge e_{i+1} lies right of I_i and contributes
-    zero), and weighted; the weighted moments are summed along the
-    contiguous points axis, so every entry is reduced in the same
-    order whatever the row width.  For a constant order, entry (i, j) is
-    therefore a function of i - j alone: the matrix is exactly
-    lower-triangular Toeplitz and its diagonal is exactly flat.
+    The outer integral splits I_i at each breakpoint of alpha inside it.  On
+    each piece, the two corner columns, the diagonal x^a and the subdiagonal
+    (1 + x)^a - x^a, use 8-point Gauss on 25 panels graded toward the
+    piece's left edge; the columns d >= 2 are analytic there (nearest
+    singularity at Gauss coordinate -3 or further) and use plain 8-point
+    Gauss.  Pieces run in blocks of _BLOCK, with alpha, gamma and the
+    weights evaluated once per block.  Each entry is summed along the
+    contiguous points axis in one fixed order, so for a constant order
+    entry (i, j) depends on i - j alone: the matrix is exactly
+    lower-triangular Toeplitz and its diagonal exactly flat.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -158,25 +171,42 @@ def assemble_matrix(
     prefactor = (n / r) ** (1.0 / p - 1.0 / q + 1.0)
     edges = h * np.arange(n + 1)
 
-    rel = np.concatenate(([0.0], 2.0 ** -np.arange(_PANEL_DEPTH, -1, -1, dtype=float)))
-    panel_half = 0.5 * (rel[1:] - rel[:-1])
-    panel_mid = 0.5 * (rel[1:] + rel[:-1])
-    offs = (panel_mid[:, None] + panel_half[:, None] * _GAUSS_X8).ravel()
-    wts = (panel_half[:, None] * _GAUSS_W8).ravel()
+    # pieces (cell, lo, hi) in local units of h: I_i split at each breakpoint inside it
+    cuts: dict[int, list[float]] = {}
+    for b in alpha.breakpoints:
+        i = int(np.searchsorted(edges, b, side="right")) - 1
+        if 0 <= i < n and edges[i] < b:
+            cuts.setdefault(i, []).append((b - edges[i]) / h)
+    pieces = [
+        (i, lo, hi) for i in range(n) for lo, hi in pairwise([0.0, *sorted(cuts.get(i, ())), 1.0])
+    ]
+    cell, lo, hi = (np.array(col) for col in zip(*pieces))
 
     entries = np.zeros((n, n))
-    for i in range(n):
-        a = np.asarray(alpha.eval(edges[i] + h * offs))
-        # (t - e_k) / h for k = 0..i in local coordinates of I_i: the same
-        # i - k gives bitwise the same distances whatever the cell's position
-        m = np.arange(i, -1, -1, dtype=float)[:, None] + offs
-        np.power(m, a, out=m)
-        # moment of column j is the power at edge j minus the one at edge
-        # j+1; (t - e_{i+1})_+ = 0 on I_i, so the diagonal keeps its power
-        m[:-1] -= m[1:]
-        m *= h ** (a + 1.0) * wts / (a * gamma(a))
-        # contiguous points axis: one summation order for every entry
-        entries[i, : i + 1] = prefactor * np.sum(m, axis=1)
+    for blk in range(0, cell.size, _BLOCK):
+        rows = cell[blk : blk + _BLOCK]
+        base = lo[blk : blk + _BLOCK, None]
+        width = hi[blk : blk + _BLOCK, None] - base
+        x = base + width * _NODES
+        a = np.asarray(alpha.eval(edges[rows, None] + h * x))
+        w = h ** (a + 1.0) * (width * _WEIGHTS) / (a * gamma(a))
+        # weighted moment sums by distance d = i - j: the corner columns
+        # d = 0, 1 on the graded nodes, d >= 2 on the plain ones
+        span = max(int(rows[-1]), 1)
+        mom = np.empty((rows.size, span + 1))
+        xc, ac, wc = x[:, :_CORNER], a[:, :_CORNER], w[:, :_CORNER]
+        corner = np.power(xc, ac)
+        mom[:, 0] = np.sum(corner * wc, axis=1)
+        mom[:, 1] = np.sum((np.power(1.0 + xc, ac) - corner) * wc, axis=1)
+        xf, af, wf = x[:, None, _CORNER:], a[:, None, _CORNER:], w[:, None, _CORNER:]
+        far = np.arange(1.0, span + 1.0)[:, None] + xf
+        np.power(far, af, out=far)
+        far = far[:, 1:] - far[:, :-1]
+        far *= wf
+        mom[:, 2:] = np.sum(far, axis=2)
+        for k, i in enumerate(rows.tolist()):
+            entries[i, : i + 1] += mom[k, i::-1]
+    entries *= prefactor
     return OperatorMatrix(n=n, r=r, p=p, q=q, entries=entries)
 
 
