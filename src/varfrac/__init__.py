@@ -4,158 +4,24 @@ Evaluation of the integration operator with a point-dependent order,
 boundedness and compactness diagnostics driven by the behavior of the order
 near the endpoints, spectral discretization, and entropy-number bound
 machinery with rate regression for the worked order families.
+
+The package namespace is the union of the five modules' ``__all__`` lists.
 """
 
-from .core import (
-    GAMMA_MIN_LOCATION,
-    K0,
-    GridFunction,
-    NumericalError,
-    QuadratureConfig,
-    besov_norm,
-    gamma,
-    kernel_moment,
-    kernel_moment_right,
-    lp_norm,
-    maximal_function,
-    maximal_values,
-    project_average,
-    q_apply,
-    q_values,
-    rl_apply,
-    rl_values,
-)
-from .diagnostics import (
-    TRUNCATION_EPSILONS,
-    CompactnessVerdict,
-    NormReport,
-    classify_compactness,
-    divergence_trend,
-    l1_criterion_integral,
-    l1_operator_norm,
-    local_norm_bound,
-    lp_to_linf_norm,
-    verify_scaling,
-    verify_semigroup,
-    witness_separation,
-)
-from .entropy import (
-    EntropyEstimate,
-    IteratedBound,
-    PartitionPlan,
-    RateFit,
-    build_example_estimate,
-    choose_r,
-    example1_partition,
-    family_order,
-    fit_rate,
-    formula_lower,
-    iterated_upper,
-    predict_rate,
-    two_block_upper,
-)
-from .orders import (
-    Constant,
-    ExpOffset,
-    LogPower,
-    LogPowerOffset,
-    OrderFunction,
-    OrderFunctionError,
-    PowerOffset,
-    ReciprocalLog,
-    Rescaled,
-    Shifted,
-    Tabulated,
-)
-from .spectral import (
-    ApproximationReport,
-    OperatorMatrix,
-    VolumetricBound,
-    approximation_numbers,
-    assemble_matrix,
-    ball_volume_root,
-    carl_constant,
-    carl_entropy_upper,
-    diagonal_floor,
-    index_domination_report,
-    singular_values,
-    spectrum_to_csv,
-    volumetric_entropy_lower,
-)
+from . import core, diagnostics, entropy, orders, spectral
+from .core import *  # noqa: F401,F403
+from .diagnostics import *  # noqa: F401,F403
+from .entropy import *  # noqa: F401,F403
+from .orders import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # orders
-    "OrderFunction",
-    "OrderFunctionError",
-    "Constant",
-    "PowerOffset",
-    "LogPowerOffset",
-    "ExpOffset",
-    "ReciprocalLog",
-    "LogPower",
-    "Tabulated",
-    "Shifted",
-    "Rescaled",
-    # core
-    "NumericalError",
-    "GAMMA_MIN_LOCATION",
-    "K0",
-    "gamma",
-    "QuadratureConfig",
-    "GridFunction",
-    "kernel_moment",
-    "kernel_moment_right",
-    "rl_values",
-    "rl_apply",
-    "q_values",
-    "q_apply",
-    "lp_norm",
-    "maximal_values",
-    "maximal_function",
-    "besov_norm",
-    "project_average",
-    # diagnostics
-    "TRUNCATION_EPSILONS",
-    "NormReport",
-    "CompactnessVerdict",
-    "divergence_trend",
-    "l1_criterion_integral",
-    "l1_operator_norm",
-    "lp_to_linf_norm",
-    "classify_compactness",
-    "witness_separation",
-    "verify_semigroup",
-    "verify_scaling",
-    "local_norm_bound",
-    # spectral
-    "OperatorMatrix",
-    "ApproximationReport",
-    "VolumetricBound",
-    "assemble_matrix",
-    "singular_values",
-    "approximation_numbers",
-    "carl_constant",
-    "carl_entropy_upper",
-    "ball_volume_root",
-    "volumetric_entropy_lower",
-    "diagonal_floor",
-    "index_domination_report",
-    "spectrum_to_csv",
-    # entropy
-    "PartitionPlan",
-    "EntropyEstimate",
-    "IteratedBound",
-    "RateFit",
-    "two_block_upper",
-    "iterated_upper",
-    "example1_partition",
-    "formula_lower",
-    "predict_rate",
-    "choose_r",
-    "fit_rate",
-    "build_example_estimate",
-    "family_order",
+    *orders.__all__,
+    *core.__all__,
+    *diagnostics.__all__,
+    *spectral.__all__,
+    *entropy.__all__,
 ]

@@ -24,7 +24,6 @@ from .core import (
     GridFunction,
     K0,
     NumericalError,
-    QuadratureConfig,
     maximal_values,
     q_values,
     rl_values,
@@ -77,12 +76,10 @@ class RunConfig:
     A fixed seed makes the randomized suites byte-identical.
     """
 
-    subcommand: str
     alpha_spec: str | None = None
     p: float = 2.0
     q: float = 2.0
     output: str | None = None
-    fmt: str = "csv"
     seed: int = 0
 
     @classmethod
@@ -94,16 +91,11 @@ class RunConfig:
         seed = int(getattr(args, "seed", 0))
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
-        json_out = args.subcommand in ("diagnose", "verify") or bool(
-            getattr(args, "fit", None)
-        )
         return cls(
-            subcommand=args.subcommand,
             alpha_spec=getattr(args, "alpha", None),
             p=p,
             q=q,
             output=args.output,
-            fmt="json" if json_out else "csv",
             seed=seed,
         )
 
@@ -329,12 +321,10 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 def _verify_identities(alpha: OrderFunction, n_cells: int) -> dict:
     f = parse_f("cos3")
-    coarse = QuadratureConfig(n_cells=n_cells)
-    fine = QuadratureConfig(n_cells=2 * n_cells)
-    sg1 = verify_semigroup(alpha, 0.5, f, coarse)
-    sg2 = verify_semigroup(alpha, 0.5, f, fine)
-    sc1 = verify_scaling(alpha, 0.5, 2.0, 2.0, f, coarse)
-    sc2 = verify_scaling(alpha, 0.5, 2.0, 2.0, f, fine)
+    sg1 = verify_semigroup(alpha, 0.5, f, n_cells)
+    sg2 = verify_semigroup(alpha, 0.5, f, 2 * n_cells)
+    sc1 = verify_scaling(alpha, 0.5, 2.0, 2.0, f, n_cells)
+    sc2 = verify_scaling(alpha, 0.5, 2.0, 2.0, f, 2 * n_cells)
     # contraction under cell doubling certifies a resampling artifact, not an
     # identity violation; the absolute cap catches broken identities outright
     sg_pass = sg2 <= 0.05 and sg2 <= 0.75 * sg1 + 1e-12

@@ -33,10 +33,7 @@ __all__ = [
     "GAMMA_MIN_LOCATION",
     "K0",
     "gamma",
-    "QuadratureConfig",
     "GridFunction",
-    "kernel_moment",
-    "kernel_moment_right",
     "rl_values",
     "rl_apply",
     "q_values",
@@ -81,23 +78,6 @@ def gamma(x):
     return out
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Resampling parameters of the identity checks.
-
-    Product integration itself is exact on the nodes of f and reads no
-    setting.  n_cells is the number of cells of the grid on which
-    verify_semigroup and verify_scaling resample an intermediate R f before
-    applying the operator again; their discrepancy contracts as it doubles.
-    """
-
-    n_cells: int = 256
-
-    def __post_init__(self):
-        if self.n_cells < 2:
-            raise ValueError(f"n_cells must be >= 2, got {self.n_cells}")
-
-
 _GAUSS_X16, _GAUSS_W16 = leggauss(16)
 
 
@@ -108,46 +88,6 @@ def _gauss_panels(edges, x, w):
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     return mid[:, None] + half[:, None] * x, half[:, None] * w
-
-
-def kernel_moment(t, a, u, v, k: int = 0):
-    """Exact int_u^v (t-s)^(a-1) s^k ds for k in {0, 1}, with u < v <= t, a > 0.
-
-    Uses (t-u)^a and (t-v)^a directly, which stays stable as v -> t.
-    Arrays broadcast over u, v.
-    """
-    if k not in (0, 1):
-        raise ValueError("moment degree k must be 0 or 1")
-    if np.any(np.asarray(a) <= 0.0):
-        raise NumericalError(f"kernel exponent must be positive, got {a}")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if np.any(u >= v) or np.any(u < -1e-12) or np.any(v > t + 1e-12):
-        raise ValueError("need 0 <= u < v <= t")
-    big = np.clip(t - u, 0.0, None)
-    small = np.clip(t - v, 0.0, None)
-    m0 = (big**a - small**a) / a
-    if k == 0:
-        return m0
-    return t * m0 - (big ** (a + 1.0) - small ** (a + 1.0)) / (a + 1.0)
-
-
-def kernel_moment_right(t, a, u, v, k: int = 0):
-    """Exact int_u^v (s-t)^(a-1) s^k ds for k in {0, 1}, with t <= u < v, a > 0."""
-    if k not in (0, 1):
-        raise ValueError("moment degree k must be 0 or 1")
-    if np.any(np.asarray(a) <= 0.0):
-        raise NumericalError(f"kernel exponent must be positive, got {a}")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if np.any(u >= v) or np.any(u < t - 1e-12):
-        raise ValueError("need t <= u < v")
-    big = np.clip(v - t, 0.0, None)
-    small = np.clip(u - t, 0.0, None)
-    m0 = (big**a - small**a) / a
-    if k == 0:
-        return m0
-    return t * m0 + (big ** (a + 1.0) - small ** (a + 1.0)) / (a + 1.0)
 
 
 @dataclass(frozen=True, eq=False)

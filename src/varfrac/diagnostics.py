@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _GAUSS_W16, _GAUSS_X16, _gauss_panels
-from .core import GridFunction, QuadratureConfig, gamma, lp_norm, rl_values
+from .core import GridFunction, gamma, lp_norm, rl_values
 from .orders import Constant, OrderFunction, Shifted
 
 __all__ = [
@@ -137,31 +137,33 @@ class CompactnessVerdict:
 # divergence trend test
 
 
-def divergence_trend(
-    values,
-    min_growth: float = 0.25,
-    window: int = 4,
-    increment_floor: float = 0.5,
-) -> bool:
+# Trend test: trailing window, least relative growth over it, and least
+# ratio of its last increment to its first.
+_TREND_WINDOW = 4
+_TREND_GROWTH = 0.25
+_TREND_FLOOR = 0.5
+
+
+def divergence_trend(values) -> bool:
     """Trend test on a sequence of truncated values at doubling depths.
 
-    Divergent when, over the trailing window, every increment is positive,
-    the total growth is at least min_growth, and the last increment is at
-    least increment_floor times the first.  A log log divergence keeps a
-    fixed increment per level and passes; a slowly convergent integral has
-    geometrically collapsing increments and fails the floor.
+    Divergent when, over the trailing window of four values, every increment
+    is positive, the total growth is at least 25%, and the last increment is
+    at least half the first.  A log log divergence keeps a fixed increment
+    per level and passes; a slowly convergent integral has geometrically
+    collapsing increments and fails the floor.
     """
     v = np.asarray(values, dtype=float)
-    if v.size < window:
+    if v.size < _TREND_WINDOW:
         return False
-    w = v[-window:]
+    w = v[-_TREND_WINDOW:]
     if w[0] <= 0.0:
         return False
     inc = np.diff(w)
     if np.any(inc <= 0.0):
         return False
     total_growth = w[-1] / w[0] - 1.0
-    return total_growth >= min_growth and inc[-1] >= increment_floor * inc[0]
+    return total_growth >= _TREND_GROWTH and inc[-1] >= _TREND_FLOOR * inc[0]
 
 
 # --------------------------------------------------------------------------
@@ -441,17 +443,22 @@ def witness_separation(alpha: OrderFunction, p: float, n_max: int) -> np.ndarray
 # identity checks
 
 
+def _check_n_cells(n_cells: int) -> None:
+    if n_cells < 2:
+        raise ValueError(f"n_cells must be >= 2, got {n_cells}")
+
+
 def verify_semigroup(
     alpha: OrderFunction,
     beta: float,
     f: GridFunction,
-    cfg: QuadratureConfig | None = None,
+    n_cells: int = 256,
     targets=None,
 ) -> float:
     """Discrepancy of the semigroup identity R^(alpha+beta) = R^alpha R^beta.
 
     The left side is integrated directly.  The right side routes R^beta f
-    through an interpolant sampled on cfg.n_cells graded cells, so the
+    through an interpolant sampled on n_cells graded cells, so the
     reported discrepancy is the resampling error and contracts as the cell
     count doubles; both sides are compared on a shared target grid.  The
     grading exponent matches the t^beta ramp of R^beta f at 0, which keeps
@@ -459,7 +466,7 @@ def verify_semigroup(
     """
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError(f"need beta > 0, got {beta}")
-    cfg = cfg if cfg is not None else QuadratureConfig()
+    _check_n_cells(n_cells)
     lo, hi = f.domain
     if targets is None:
         targets = np.linspace(0.0, hi, 65)
@@ -467,10 +474,9 @@ def verify_semigroup(
 
     lhs = rl_values(Shifted(alpha, beta), f, targets)
 
-    n = cfg.n_cells
     gexp = 2.0 / min(beta, 1.0)
     gexp = min(gexp, 8.0)
-    nodes = hi * (np.arange(n + 1) / n) ** gexp
+    nodes = hi * (np.arange(n_cells + 1) / n_cells) ** gexp
     nodes = np.unique(np.concatenate((nodes, f.nodes)))
     g = GridFunction(nodes, rl_values(Constant(beta), f, nodes))
     rhs = rl_values(alpha, g, targets)
@@ -483,7 +489,7 @@ def verify_scaling(
     p: float,
     q: float,
     f: GridFunction,
-    cfg: QuadratureConfig | None = None,
+    n_cells: int = 256,
     targets=None,
 ) -> float:
     """Discrepancy of the dilation identity tying [0, r] to the unit interval.
@@ -491,7 +497,7 @@ def verify_scaling(
     Compares J_q^-1 R^alpha J_p f against r^(alpha(r t) + 1/q - 1/p) *
     R^(alpha(r .)) f on a shared target grid, where (J_p f)(s) =
     r^(-1/p) f(s/r).  The left side is exact product integration; the right
-    side samples R^(alpha(r .)) f on cfg.n_cells graded cells and reads it
+    side samples R^(alpha(r .)) f on n_cells graded cells and reads it
     back off-grid, so the discrepancy tracks the resampling error and
     contracts under refinement.  At r = 1 both sides are the same map and
     the discrepancy is exactly zero.
@@ -500,7 +506,7 @@ def verify_scaling(
         raise ValueError(f"need 0 < r <= 1, got {r}")
     if not (p >= 1.0 and q >= 1.0):
         raise ValueError("need p, q >= 1")
-    cfg = cfg if cfg is not None else QuadratureConfig()
+    _check_n_cells(n_cells)
     if targets is None:
         targets = np.linspace(0.0, 1.0, 65)
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
@@ -514,8 +520,8 @@ def verify_scaling(
     jp = GridFunction(f.nodes * r, f.values * r ** (-1.0 / p), f.interpretation)
     lhs = r ** (1.0 / q) * rl_values(alpha, jp, r * targets)
 
-    n = cfg.n_cells
-    nodes = np.unique(np.concatenate(((np.arange(n + 1) / n) ** 4, f.nodes)))
+    grid = (np.arange(n_cells + 1) / n_cells) ** 4
+    nodes = np.unique(np.concatenate((grid, f.nodes)))
     g = GridFunction(nodes, rl_values(rescaled, f, nodes))
     multiplier = r ** (np.asarray(rescaled.eval(targets)) + 1.0 / q - 1.0 / p)
     rhs = multiplier * g(targets)

@@ -16,9 +16,8 @@ budgets n_j ~ n / j^2.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,7 +132,6 @@ class EntropyEstimate:
     lower: tuple[float, ...] | None
     upper: tuple[float, ...]
     predicted: tuple[float, ...] | None = None
-    fit: RateFit | None = None
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.n_values)
@@ -161,9 +159,6 @@ class EntropyEstimate:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "predicted", pred)
 
-    def with_fit(self, fit: RateFit) -> "EntropyEstimate":
-        return replace(self, fit=fit)
-
     def csv_text(self) -> str:
         """The bracket as CSV: n,lower,upper,predicted, absent columns left empty."""
         lines = ["n,lower,upper,predicted"]
@@ -175,10 +170,6 @@ class EntropyEstimate:
 
     def to_csv(self, path: str) -> None:
         atomic_write_text(path, self.csv_text())
-
-    def fit_json(self) -> str:
-        payload = None if self.fit is None else self.fit.to_dict()
-        return json.dumps(payload, sort_keys=True)
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from varfrac.cli import _verify_maxbound
 from varfrac.core import (
     GridFunction,
     K0,
-    QuadratureConfig,
     besov_norm,
     gamma,
     lp_norm,
@@ -67,10 +66,7 @@ def test_criterion_01_closed_form_oracle():
 def test_criterion_02_semigroup_identity():
     t0 = time.perf_counter()
     alpha = PowerOffset(0.5, 1.0, 2.0)
-    errs = [
-        verify_semigroup(alpha, 0.5, COS3, QuadratureConfig(n_cells=n))
-        for n in (512, 1024, 2048)
-    ]
+    errs = [verify_semigroup(alpha, 0.5, COS3, n) for n in (512, 1024, 2048)]
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     ok = errs[-1] <= 5e-3 and all(r >= 1.7 for r in ratios)
     detail = (
@@ -86,10 +82,7 @@ def test_criterion_03_scaling_identity():
     # off-node targets expose the resampling error, which must contract
     targets = np.linspace(0.0, 1.0, 77)
     errs = [
-        verify_scaling(
-            PowerOffset(0.5, 1.0, 1.0), 0.5, 2.0, 2.0, COS3,
-            QuadratureConfig(n_cells=n), targets,
-        )
+        verify_scaling(PowerOffset(0.5, 1.0, 1.0), 0.5, 2.0, 2.0, COS3, n, targets)
         for n in (256, 512, 1024)
     ]
     ratios = [errs[i] / errs[i + 1] for i in range(2)]

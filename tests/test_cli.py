@@ -96,7 +96,7 @@ class TestGrammar:
     def test_runconfig_validation(self):
         ns = type("NS", (), {"subcommand": "apply", "alpha": "const:1", "output": None})
         cfg = RunConfig.from_args(ns)
-        assert cfg.p == 2.0 and cfg.fmt == "csv" and cfg.seed == 0
+        assert cfg.p == 2.0 and cfg.seed == 0
 
 
 class TestApply:
@@ -330,6 +330,14 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["pass"] is True
         assert payload["semigroup"]["fine"] <= 0.75 * payload["semigroup"]["coarse"] + 1e-12
+
+    def test_identities_reject_single_cell(self, capsys):
+        rc, out, err = run(
+            capsys, "verify", "--suite", "identities", "--alpha", "const:0.5",
+            "--n-cells", "1",
+        )
+        assert rc == EXIT_USAGE and out == ""
+        assert "n_cells" in err
 
     def test_witness_flags(self, capsys):
         rc, out, _ = run(capsys, "verify", "--suite", "witness", "--alpha", "reclog")

@@ -1,5 +1,5 @@
-"""Operator evaluation core: kernel moments, product integration, norms,
-maximal function, Besov norm, averaging projection."""
+"""Operator evaluation core: product integration, norms, maximal function,
+Besov norm, averaging projection."""
 
 import math
 
@@ -14,8 +14,6 @@ from varfrac.core import (
     NumericalError,
     besov_norm,
     gamma,
-    kernel_moment,
-    kernel_moment_right,
     lp_norm,
     maximal_values,
     project_average,
@@ -86,37 +84,6 @@ class TestGamma:
             gamma(np.array([1.0, 0.0, 2.0]))
 
 
-class TestKernelMoment:
-    def test_unit_cases(self):
-        assert kernel_moment(1.0, 1.0, 0.0, 1.0, 0) == pytest.approx(1.0, abs=1e-15)
-        assert kernel_moment(1.0, 0.5, 0.0, 1.0, 0) == pytest.approx(2.0, abs=1e-15)
-        assert kernel_moment(1.0, 1.0, 0.0, 1.0, 1) == pytest.approx(0.5, abs=1e-15)
-
-    def test_stable_as_v_approaches_t(self):
-        # (t-u)^a - (t-v)^a evaluated directly, no cancellation blowup
-        t, a, h = 1.0, 0.25, 2.0**-43
-        val = kernel_moment(t, a, t - h, t, 0)
-        assert val == pytest.approx((h**a) / a, rel=1e-10)
-
-    def test_additive_over_subintervals(self):
-        t, a = 0.8, 0.6
-        whole = kernel_moment(t, a, 0.0, 0.7, 0)
-        parts = kernel_moment(t, a, 0.0, 0.3, 0) + kernel_moment(t, a, 0.3, 0.7, 0)
-        assert whole == pytest.approx(parts, rel=1e-14)
-
-    def test_rejects_bad_exponent_and_interval(self):
-        with pytest.raises(NumericalError):
-            kernel_moment(1.0, 0.0, 0.0, 0.5, 0)
-        with pytest.raises(ValueError):
-            kernel_moment(0.5, 1.0, 0.0, 0.7, 0)
-
-    def test_right_sided_mirror(self):
-        # int_u^v (s-t)^(a-1) ds with t=0 equals the plain power integral
-        assert kernel_moment_right(0.0, 0.5, 0.0, 1.0, 0) == pytest.approx(
-            2.0, abs=1e-15
-        )
-
-
 class TestRlValues:
     def test_identity_order_gives_primitive(self):
         assert rl_values(Constant(1.0), ONE, [0.75])[0] == pytest.approx(
@@ -134,6 +101,23 @@ class TestRlValues:
 
     def test_target_zero_is_zero(self):
         assert rl_values(Constant(0.5), ONE, [0.0])[0] == 0.0
+
+    def test_tiny_step_cell_ending_at_target(self):
+        # (t-u)^a - (t-v)^a with v = t: no cancellation as the cell shrinks
+        t, a, h = 1.0, 0.25, 2.0**-43
+        f = GridFunction((0.0, t - h, t), (0.0, 1.0, 1.0), "step")
+        val = rl_values(Constant(a), f, [t])[0]
+        assert val == pytest.approx(h**a / math.gamma(a + 1.0), rel=1e-10)
+
+    @pytest.mark.parametrize("interpretation", ["linear", "step"])
+    def test_inserting_a_node_leaves_values_unchanged(self, interpretation):
+        f = GridFunction((0.0, 0.7, 1.0), (1.0, -0.5, 2.0), interpretation)
+        mid = float(f(0.3))
+        split = GridFunction((0.0, 0.3, 0.7, 1.0), (1.0, mid, -0.5, 2.0), interpretation)
+        t = np.linspace(0.0, 1.0, 41)
+        for alpha in (Constant(0.6), PowerOffset(0.5, 1.0, 2.0)):
+            whole = rl_values(alpha, f, t)
+            assert np.max(np.abs(whole - rl_values(alpha, split, t))) <= 1e-14
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("k", [0, 1])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from varfrac.core import GridFunction, QuadratureConfig, gamma
+from varfrac.core import GridFunction, gamma
 from varfrac.diagnostics import (
     TRUNCATION_EPSILONS,
     CompactnessVerdict,
@@ -208,23 +208,23 @@ class TestSemigroup:
         assert verify_semigroup(Constant(1.0), 1.0, ONE) <= 1e-10
 
     def test_half_plus_half_fine_grid(self):
-        err = verify_semigroup(
-            Constant(0.5), 0.5, ONE, QuadratureConfig(n_cells=8192)
-        )
-        assert err <= 1e-8
+        assert verify_semigroup(Constant(0.5), 0.5, ONE, n_cells=8192) <= 1e-8
 
     def test_discrepancy_contracts_under_refinement(self):
         alpha = PowerOffset(0.5, 1.0, 2.0)
-        errs = [
-            verify_semigroup(alpha, 0.5, COS3, QuadratureConfig(n_cells=n))
-            for n in (256, 512, 1024)
-        ]
+        errs = [verify_semigroup(alpha, 0.5, COS3, n) for n in (256, 512, 1024)]
         # monotone within slack, and at least 1.7x down per doubling
         assert errs[1] <= errs[0] / 1.7 and errs[2] <= errs[1] / 1.7
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
             verify_semigroup(Constant(1.0), 0.0, ONE)
+
+    def test_rejects_single_cell(self):
+        with pytest.raises(ValueError, match="n_cells"):
+            verify_semigroup(Constant(1.0), 0.5, ONE, n_cells=1)
+        with pytest.raises(ValueError, match="n_cells"):
+            verify_scaling(Constant(1.0), 0.5, 2.0, 2.0, ONE, n_cells=1)
 
 
 class TestScaling:
@@ -240,9 +240,7 @@ class TestScaling:
         alpha = PowerOffset(0.5, 1.0, 1.0)
         targets = np.linspace(0.0, 1.0, 77)
         errs = [
-            verify_scaling(
-                alpha, 0.5, 2.0, 2.0, COS3, QuadratureConfig(n_cells=n), targets
-            )
+            verify_scaling(alpha, 0.5, 2.0, 2.0, COS3, n, targets)
             for n in (256, 512, 1024)
         ]
         assert errs[1] <= errs[0] / 1.7 and errs[2] <= errs[1] / 1.7
@@ -291,7 +289,7 @@ class TestStabilityInvariants:
     def test_semigroup_discrepancy_monotone_with_slack(self):
         alpha = PowerOffset(0.5, 1.0, 2.0)
         errs = [
-            verify_semigroup(alpha, 0.5, COS3, QuadratureConfig(n_cells=n))
+            verify_semigroup(alpha, 0.5, COS3, n)
             for n in (256, 512, 1024, 2048)
         ]
         for coarse, fine in zip(errs, errs[1:]):

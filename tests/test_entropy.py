@@ -432,16 +432,6 @@ class TestEstimateValidation:
         with pytest.raises(ValueError):
             EntropyEstimate(n_values=(8,), lower=None, upper=(math.inf,))
 
-    def test_fit_json_round_trip(self, ex1_desk):
-        import json
-
-        assert ex1_desk.fit_json() == "null"
-        fitted = ex1_desk.with_fit(fit_rate(ex1_desk, "power_log", "predicted"))
-        payload = json.loads(fitted.fit_json())
-        assert payload["model"] == "power_log"
-        assert payload["side"] == "predicted"
-        assert len(payload["coefficients"]) == 3
-
 
 class TestFitRate:
     def test_pure_power_recovered(self):
