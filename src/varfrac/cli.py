@@ -12,10 +12,10 @@ randomized suites byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .diagnostics import (
     verify_semigroup,
     witness_separation,
 )
-from .entropy import build_example_estimate, fit_rate
+from .entropy import build_example_estimate, family_name, fit_rate
 from .orders import (
     Constant,
     ExpOffset,
@@ -57,7 +57,7 @@ from .spectral import (
     singular_values,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,39 +65,6 @@ EXIT_NUMERICAL = 3
 
 DIAGNOSE_CHECKS = ("l1criterion", "l1norm", "lptolinf", "compact-zero", "compact-one")
 VERIFY_SUITES = ("identities", "witness", "maxbound")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common parameters of one subcommand invocation.
-
-    Subcommand-specific flags stay on the parsed namespace; this record holds
-    the fields shared across subcommands, validated before any computation.
-    A fixed seed makes the randomized suites byte-identical.
-    """
-
-    alpha_spec: str | None = None
-    p: float = 2.0
-    q: float = 2.0
-    output: str | None = None
-    seed: int = 0
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        p = float(getattr(args, "p", 2.0))
-        q = float(getattr(args, "q", 2.0))
-        if p < 1.0 or q < 1.0:
-            raise ValueError(f"exponents must satisfy p, q >= 1, got p={p}, q={q}")
-        seed = int(getattr(args, "seed", 0))
-        if seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {seed}")
-        return cls(
-            alpha_spec=getattr(args, "alpha", None),
-            p=p,
-            q=q,
-            output=args.output,
-            seed=seed,
-        )
 
 
 # --------------------------------------------------------------------------
@@ -127,17 +94,6 @@ def parse_alpha(spec: str) -> OrderFunction:
     )
 
 
-def parse_family(spec: str) -> tuple[str, dict]:
-    """Map an ex1..ex4 alpha spec to its entropy family name and parameters."""
-    head, _, tail = spec.partition(":")
-    if head == "ex4":
-        return "Example4", {"gamma": _floats(tail, 1)[0]}
-    if head in ("ex1", "ex2", "ex3"):
-        a0, lam, gamma = _floats(tail, 3)
-        return "Example" + head[2], {"alpha0": a0, "lam": lam, "gamma": gamma}
-    raise ValueError(f"entropy needs a worked-family spec ex1..ex4, got {spec!r}")
-
-
 def parse_f(spec: str) -> GridFunction:
     """Build an input function: builtin one/ramp/cos3 or csv:<path>."""
     if spec == "one":
@@ -154,13 +110,12 @@ def parse_f(spec: str) -> GridFunction:
 
 
 def parse_targets(spec: str) -> np.ndarray:
-    """Either a point count (uniform grid on [0,1]) or comma-separated points."""
-    if "," in spec or "." in spec:
-        pts = np.asarray([float(x) for x in spec.split(",")], dtype=float)
-        if pts.size == 0:
-            raise ValueError("empty target list")
-        return pts
-    count = int(spec)
+    """A bare integer is a point count (uniform grid on [0,1]); anything else
+    is comma-separated points."""
+    try:
+        count = int(spec)
+    except ValueError:
+        return np.asarray([float(x) for x in spec.split(",")], dtype=float)
     if count < 2:
         raise ValueError(f"target count must be >= 2, got {count}")
     return np.linspace(0.0, 1.0, count)
@@ -215,47 +170,51 @@ def _csv_table(header: str, rows) -> str:
 # subcommands
 
 
-def cmd_apply(cfg: RunConfig, args) -> int:
-    alpha = parse_alpha(cfg.alpha_spec)
+def cmd_apply(args) -> int:
+    alpha = parse_alpha(args.alpha)
     f = parse_f(args.f)
     targets = parse_targets(args.targets)
     values = (q_values if args.adjoint else rl_values)(alpha, f, targets)
-    _emit(_csv_table("t,value", zip(targets, values)), cfg.output)
+    _emit(_csv_table("t,value", zip(targets, values)), args.output)
     return EXIT_OK
 
 
-def cmd_diagnose(cfg: RunConfig, args) -> int:
-    alpha = parse_alpha(cfg.alpha_spec)
+def cmd_diagnose(args) -> int:
+    alpha = parse_alpha(args.alpha)
     check = args.check
     if check == "l1criterion":
         report = l1_criterion_integral(alpha).to_dict()
     elif check == "l1norm":
         report = l1_operator_norm(alpha).to_dict()
     elif check == "lptolinf":
-        report = lp_to_linf_norm(alpha, cfg.p).to_dict()
-    elif check in ("compact-zero", "compact-one"):
-        report = classify_compactness(alpha, check.split("-")[1]).to_dict()
+        report = lp_to_linf_norm(alpha, args.p).to_dict()
     else:
-        raise ValueError(f"unknown check {check!r}; expected one of {DIAGNOSE_CHECKS}")
-    _emit(_json_dumps({"alpha": cfg.alpha_spec, "check": check, "report": report}), cfg.output)
+        report = classify_compactness(alpha, check.split("-")[1]).to_dict()
+    _emit(_json_dumps({"alpha": args.alpha, "check": check, "report": report}), args.output)
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: RunConfig, args) -> int:
+def cmd_spectrum(args) -> int:
     if args.matrix:
         entries = _load_matrix(args.matrix)
-        m = OperatorMatrix(n=entries.shape[0], r=args.r, p=cfg.p, q=cfg.q, entries=entries)
-        _emit(_spectrum_text(singular_values(m)), cfg.output)
+        m = OperatorMatrix(n=entries.shape[0], r=args.r, p=args.p, q=args.q, entries=entries)
+        _emit(_spectrum_text(singular_values(m)), args.output)
         return EXIT_OK
-    if not cfg.alpha_spec:
+    if not args.alpha:
         raise ValueError("spectrum needs --alpha or --matrix")
-    alpha = parse_alpha(cfg.alpha_spec)
+    alpha = parse_alpha(args.alpha)
     if args.fit:
+        lo, hi = args.fit_lo, min(args.fit_hi, args.n_max)
+        if not 1 <= lo < hi:
+            raise ValueError(
+                f"need 1 <= --fit-lo < min(--fit-hi, --n-max), got --fit-lo {lo}, "
+                f"--fit-hi {args.fit_hi}, --n-max {args.n_max}"
+            )
         report = approximation_numbers(alpha, n_max=args.n_max, n_disc=args.n, r=args.r)
-        ks = np.arange(args.fit_lo, min(args.fit_hi, args.n_max) + 1)
+        ks = np.arange(lo, hi + 1)
         slope, intercept = np.polyfit(np.log(ks), np.log(report.values[ks - 1]), 1)
         payload = {
-            "alpha": cfg.alpha_spec,
+            "alpha": args.alpha,
             "converged": report.converged,
             "drift": report.drift,
             "fit_range": [int(ks[0]), int(ks[-1])],
@@ -264,10 +223,10 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
             "slope": float(slope),
             "values": [float(v) for v in report.values],
         }
-        _emit(_json_dumps(payload), cfg.output)
+        _emit(_json_dumps(payload), args.output)
         return EXIT_OK
-    m = assemble_matrix(alpha, n=args.n or 256, r=args.r, p=cfg.p, q=cfg.q)
-    _emit(_spectrum_text(singular_values(m)), cfg.output)
+    m = assemble_matrix(alpha, n=args.n or 256, r=args.r, p=args.p, q=args.q)
+    _emit(_spectrum_text(singular_values(m)), args.output)
     return EXIT_OK
 
 
@@ -280,42 +239,41 @@ def _load_matrix(path: str) -> np.ndarray:
     return entries
 
 
-def cmd_entropy(cfg: RunConfig, args) -> int:
-    family, params = parse_family(cfg.alpha_spec)
+def cmd_entropy(args) -> int:
+    alpha = parse_alpha(args.alpha)
+    family = family_name(alpha)
     grid = parse_ngrid(args.n_grid)
-    est = build_example_estimate(family, params, grid, p=cfg.p, q=cfg.q)
-    if cfg.output:
-        est.to_csv(cfg.output)
+    est = build_example_estimate(alpha, grid, p=args.p, q=args.q)
+    if args.output:
+        est.to_csv(args.output)
     if args.fit:
         sides = ["upper", "predicted"] + (["lower"] if est.lower is not None else [])
         fits = {side: fit_rate(est, args.fit, side).to_dict() for side in sides}
         payload = {
-            "alpha": cfg.alpha_spec,
+            "alpha": args.alpha,
             "family": family,
             "fits": fits,
             "model": args.fit,
-            "params": params,
+            "params": dataclasses.asdict(alpha),
         }
         # the bracket CSV (if requested) went to the output path; the fit
         # summary is the stdout payload
         _emit(_json_dumps(payload), None)
         return EXIT_OK
-    if not cfg.output:
+    if not args.output:
         _emit(est.csv_text(), None)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
-    alpha = parse_alpha(cfg.alpha_spec)
+def cmd_verify(args) -> int:
+    alpha = parse_alpha(args.alpha)
     if args.suite == "identities":
         table = _verify_identities(alpha, args.n_cells)
     elif args.suite == "witness":
-        table = _verify_witness(alpha, cfg.p, args.n_max)
-    elif args.suite == "maxbound":
-        table = _verify_maxbound(alpha, cfg.seed, args.trials)
+        table = _verify_witness(alpha, args.p, args.n_max)
     else:
-        raise ValueError(f"unknown suite {args.suite!r}; expected one of {VERIFY_SUITES}")
-    _emit(_json_dumps(table), cfg.output)
+        table = _verify_maxbound(alpha, args.seed, args.trials)
+    _emit(_json_dumps(table), args.output)
     return EXIT_OK
 
 
@@ -455,8 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        return args.func(cfg, args)
+        p, q = getattr(args, "p", 2.0), getattr(args, "q", 2.0)
+        if p < 1.0 or q < 1.0:
+            raise ValueError(f"exponents must satisfy p, q >= 1, got p={p}, q={q}")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"seed must be nonnegative, got {args.seed}")
+        return args.func(args)
     except (OrderFunctionError, ValueError, OSError) as exc:
         print(f"varfrac: {exc}", file=sys.stderr)
         return EXIT_USAGE

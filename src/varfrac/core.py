@@ -310,7 +310,8 @@ def _checked_targets(targets, hi: float) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(targets, dtype=float))
     if ts.size == 0:
         raise ValueError("empty targets")
-    if np.min(ts) < -1e-12 or np.max(ts) > hi + 1e-12:
+    # written so that a NaN target fails the check too
+    if not (np.min(ts) >= -1e-12 and np.max(ts) <= hi + 1e-12):
         raise ValueError(f"targets must lie within [0, {hi:g}]")
     return np.clip(ts, 0.0, hi)
 

@@ -9,9 +9,10 @@ partition 0 = r_0 < r_1 < ... < r_m = 1 whose blocks each receive an
 approximation budget.  The lower bound is the volume-comparison shape
 n^-a1 r^(a1 + 1/q - 1/p) with a1 the supremum of the order on [0, r].
 
-The four worked families each prescribe their own cut radii and, for the
-power-offset family, a partition with logarithmically many blocks and
-budgets n_j ~ n / j^2.
+The four worked families are the order classes in FAMILIES, and the family
+functions take the order instance itself.  Each family prescribes its own
+cut radii and, for the power-offset family, a partition with
+logarithmically many blocks and budgets n_j ~ n / j^2.
 """
 
 from __future__ import annotations
@@ -38,11 +39,17 @@ __all__ = [
     "choose_r",
     "fit_rate",
     "build_example_estimate",
-    "family_order",
+    "family_name",
     "FAMILIES",
 ]
 
-FAMILIES = ("Example1", "Example2", "Example3", "Example4")
+#: the paper's worked examples, keyed by the order class that models each
+FAMILIES = {
+    PowerOffset: "Example1",
+    LogPowerOffset: "Example2",
+    ExpOffset: "Example3",
+    LogPower: "Example4",
+}
 
 
 @dataclass(frozen=True)
@@ -236,7 +243,7 @@ def iterated_upper(
     )
 
 
-def example1_partition(n: int, alpha0: float, lam: float, gamma: float) -> PartitionPlan:
+def example1_partition(n: int, gamma: float) -> PartitionPlan:
     """Partition for the power-offset family: m = 1 + [ln n] blocks with
     cuts r_j = (j / ln n)^(1/gamma) and budgets n_j = [n / j^2].
 
@@ -245,9 +252,8 @@ def example1_partition(n: int, alpha0: float, lam: float, gamma: float) -> Parti
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    for name, v in (("alpha0", alpha0), ("lam", lam), ("gamma", gamma)):
-        if not (v > 0.0 and math.isfinite(v)):
-            raise ValueError(f"{name} must be positive, got {v}")
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive, got {gamma}")
     ln_n = math.log(n)
     m = 1 + int(ln_n)
     cuts = [0.0]
@@ -284,35 +290,24 @@ def formula_lower(
 # worked families
 
 
-def _family_params(family: str, params: dict) -> tuple:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if family == "Example4":
-        gamma = params.get("gamma")
-        if gamma is None or not (0.0 < gamma < 1.0):
-            raise ValueError("Example4 needs gamma in (0, 1)")
-        return (gamma,)
-    triple = tuple(params.get(k) for k in ("alpha0", "lam", "gamma"))
-    if any(v is None or not (v > 0.0 and math.isfinite(v)) for v in triple):
-        raise ValueError(f"{family} needs positive alpha0, lam, gamma")
-    return triple
+def family_name(alpha: OrderFunction) -> str:
+    """Worked-example name of a family order, such as "Example1" for PowerOffset.
 
-
-def family_order(family: str, params: dict) -> OrderFunction:
-    """Order profile of a worked family."""
-    vals = _family_params(family, params)
-    if family == "Example1":
-        return PowerOffset(*vals)
-    if family == "Example2":
-        return LogPowerOffset(*vals)
-    if family == "Example3":
-        return ExpOffset(*vals)
-    return LogPower(vals[0])
+    The threshold family (Example4) is only worked for gamma in (0, 1).
+    """
+    name = FAMILIES.get(type(alpha))
+    if name is None:
+        raise ValueError(
+            "entropy bounds need a worked-family order ex1..ex4 (PowerOffset, "
+            f"LogPowerOffset, ExpOffset or LogPower), got {type(alpha).__name__}"
+        )
+    if name == "Example4" and not alpha.gamma < 1.0:
+        raise ValueError(f"Example4 needs gamma in (0, 1), got {alpha.gamma}")
+    return name
 
 
 def predict_rate(
-    family: str,
-    params: dict,
+    alpha: OrderFunction,
     n: int,
     p: float = 2.0,
     q: float = 2.0,
@@ -326,31 +321,30 @@ def predict_rate(
     """
     if n < 16:
         raise ValueError(f"rates are evaluated for n >= 16, got {n}")
-    vals = _family_params(family, params)
+    family = family_name(alpha)
     ln_n = math.log(n)
     if family == "Example1":
-        alpha0, _, gamma = vals
-        shape = n ** (-alpha0) * ln_n ** (-(alpha0 + 1.0 / q - 1.0 / p) / gamma)
+        alpha0 = alpha.alpha0
+        shape = n ** (-alpha0) * ln_n ** (-(alpha0 + 1.0 / q - 1.0 / p) / alpha.gamma)
         return {"upper": shape, "lower": shape}
     if p != q:
         raise ValueError(f"{family} rates are stated for matching exponents p = q")
     if family == "Example2":
-        alpha0, lam, gamma = vals
-        root = (lam * ln_n) ** (1.0 / (1.0 + gamma))
+        alpha0, gamma = alpha.alpha0, alpha.gamma
+        root = (alpha.lam * ln_n) ** (1.0 / (1.0 + gamma))
         base = alpha0 ** (gamma / (1.0 + gamma))
         upper = n ** (-alpha0) * math.exp(-base * root)
         boost = (gamma + 1.0) / gamma ** (gamma / (1.0 + gamma))
         lower = n ** (-alpha0) * math.exp(-base * boost * root)
         return {"upper": upper, "lower": lower}
     if family == "Example3":
-        alpha0, _, gamma = vals
-        shape = n ** (-alpha0) * math.log(ln_n) ** (-alpha0 / gamma)
+        alpha0 = alpha.alpha0
+        shape = n ** (-alpha0) * math.log(ln_n) ** (-alpha0 / alpha.gamma)
         return {"upper": shape, "lower": shape}
-    gamma = vals[0]
-    return {"upper": math.exp(-(ln_n ** (1.0 - gamma))), "lower": None}
+    return {"upper": math.exp(-(ln_n ** (1.0 - alpha.gamma))), "lower": None}
 
 
-def choose_r(family: str, params: dict, n: int, bound_side: str) -> float:
+def choose_r(alpha: OrderFunction, n: int, bound_side: str) -> float:
     """Prescribed cut radius of a worked family for the requested bound side.
 
     Only the radii actually prescribed by the constructions exist; asking
@@ -360,7 +354,7 @@ def choose_r(family: str, params: dict, n: int, bound_side: str) -> float:
     """
     if bound_side not in ("upper", "lower"):
         raise ValueError(f"bound_side must be 'upper' or 'lower', got {bound_side!r}")
-    vals = _family_params(family, params)
+    family = family_name(alpha)
     ln_n = math.log(n) if n >= 2 else -1.0
     if ln_n <= 0.0:
         raise ValueError(f"need n >= 2, got {n}")
@@ -368,14 +362,13 @@ def choose_r(family: str, params: dict, n: int, bound_side: str) -> float:
     if family == "Example1":
         if bound_side == "upper":
             raise ValueError("Example1 upper bound uses a partition, not a single radius")
-        _, _, gamma = vals
-        r = ln_n ** (-1.0 / gamma)
+        r = ln_n ** (-1.0 / alpha.gamma)
     elif family == "Example2":
-        alpha0, lam, gamma = vals
+        alpha0, lam, gamma = alpha.alpha0, alpha.lam, alpha.gamma
         scale = lam if bound_side == "upper" else gamma * lam
         r = math.exp(-((scale * ln_n / alpha0) ** (1.0 / (1.0 + gamma))))
     elif family == "Example3":
-        alpha0, lam, gamma = vals
+        alpha0, lam, gamma = alpha.alpha0, alpha.lam, alpha.gamma
         if bound_side == "lower":
             if ln_n <= 1.0:
                 raise ValueError(f"n = {n} too small for the prescribed radius")
@@ -397,8 +390,7 @@ def choose_r(family: str, params: dict, n: int, bound_side: str) -> float:
 
 
 def build_example_estimate(
-    family: str,
-    params: dict,
+    alpha: OrderFunction,
     n_grid,
     p: float = 2.0,
     q: float = 2.0,
@@ -411,30 +403,29 @@ def build_example_estimate(
     (threshold family: local-norm term plus tail, no lower column).  Lower
     bounds are evaluated at the same matched index as the upper bounds.
     """
-    alpha = family_order(family, params)
+    family = family_name(alpha)
     ns, lows, ups, preds = [], [], [], []
     for n in n_grid:
         n = int(n)
         if family == "Example1":
-            plan = example1_partition(n, **{k: params[k] for k in ("alpha0", "lam", "gamma")})
-            bound = iterated_upper(alpha, plan, p, q)
+            bound = iterated_upper(alpha, example1_partition(n, alpha.gamma), p, q)
             idx, upper = bound.index, bound.value
-            lower = formula_lower(alpha, choose_r(family, params, idx, "lower"), idx, p, q)
+            lower = formula_lower(alpha, choose_r(alpha, idx, "lower"), idx, p, q)
         elif family in ("Example2", "Example3"):
             half = (n + 1) // 2
             idx = 2 * half - 1
-            upper = two_block_upper(alpha, choose_r(family, params, idx, "upper"), half, half, p, q)
-            lower = formula_lower(alpha, choose_r(family, params, idx, "lower"), idx, p, q)
+            upper = two_block_upper(alpha, choose_r(alpha, idx, "upper"), half, half, p, q)
+            lower = formula_lower(alpha, choose_r(alpha, idx, "lower"), idx, p, q)
         else:
             idx = n
-            r = choose_r(family, params, idx, "upper")
+            r = choose_r(alpha, idx, "upper")
             upper = local_norm_bound(alpha, "zero", r) + idx ** (-float(alpha.eval(r)))
             lower = None
         ns.append(idx)
         ups.append(upper)
         if lower is not None:
             lows.append(lower)
-        preds.append(predict_rate(family, params, idx, p, q)["upper"])
+        preds.append(predict_rate(alpha, idx, p, q)["upper"])
     return EntropyEstimate(
         n_values=tuple(ns),
         lower=tuple(lows) if lows else None,

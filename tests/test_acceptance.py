@@ -30,7 +30,7 @@ from varfrac.diagnostics import (
     witness_separation,
 )
 from varfrac.entropy import build_example_estimate, fit_rate
-from varfrac.orders import Constant, LogPower, PowerOffset, ReciprocalLog
+from varfrac.orders import Constant, ExpOffset, LogPower, PowerOffset, ReciprocalLog
 from varfrac.spectral import (
     approximation_numbers,
     assemble_matrix,
@@ -182,8 +182,8 @@ def test_criterion_07_spectral_oracle():
 def test_criterion_08_entropy_brackets_and_rates():
     t0 = time.perf_counter()
     grid = [2**j for j in range(6, 21)]
-    params1 = {"alpha0": 0.5, "lam": 1.0, "gamma": 1.0}
-    est1 = build_example_estimate("Example1", params1, grid)
+    alpha1 = PowerOffset(0.5, 1.0, 1.0)
+    est1 = build_example_estimate(alpha1, grid)
     bracket_ok = all(a <= b for a, b in zip(est1.lower, est1.upper))
 
     idx = np.asarray(est1.n_values, dtype=float)
@@ -197,20 +197,20 @@ def test_criterion_08_entropy_brackets_and_rates():
     # at these n and their slopes are printed unasserted
     from varfrac.entropy import predict_rate
 
-    pred_lower = [predict_rate("Example1", params1, int(n))["lower"] for n in est1.n_values]
+    pred_lower = [predict_rate(alpha1, int(n))["lower"] for n in est1.n_values]
     slope_up = comp_slope(est1.predicted)
     slope_lo = comp_slope(pred_lower)
     band = lambda s: abs(s + 0.5) <= 0.2 * 0.5
     ex1_ok = band(slope_up) and band(slope_lo)
     cons_up, cons_lo = comp_slope(est1.upper), comp_slope(est1.lower)
 
-    est3 = build_example_estimate("Example3", params1, grid)
+    est3 = build_example_estimate(ExpOffset(0.5, 1.0, 1.0), grid)
     f3_pred = fit_rate(est3, "power_loglog", "predicted").coefficients[2]
     f3_low = fit_rate(est3, "power_loglog", "lower").coefficients[2]
     ex3_ok = abs(f3_pred + 0.5) <= 0.25 * 0.5 and abs(f3_low + 0.5) <= 0.25 * 0.5
     f3_up = fit_rate(est3, "power_loglog", "upper").coefficients[2]
 
-    est4 = build_example_estimate("Example4", {"gamma": 0.5}, grid)
+    est4 = build_example_estimate(LogPower(0.5), grid)
     x4 = np.sqrt(np.log(np.asarray(est4.n_values, dtype=float)))
     slope4 = float(np.polyfit(x4, np.log(np.asarray(est4.upper)), 1)[0])
     ex4_ok = abs(slope4 + 1.0) <= 0.15

@@ -15,7 +15,6 @@ from varfrac.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
-    RunConfig,
     main,
     parse_alpha,
     parse_f,
@@ -83,6 +82,8 @@ class TestGrammar:
         assert np.array_equal(parse_targets("0.25,0.75"), [0.25, 0.75])
         # a single float is a point, not a count
         assert np.array_equal(parse_targets("1.0"), [1.0])
+        # only a bare integer is a count; any other number is a point
+        assert np.array_equal(parse_targets("5e-1"), [0.5])
         with pytest.raises(ValueError):
             parse_targets("1")
 
@@ -92,11 +93,6 @@ class TestGrammar:
         for spec in ("2^5..2^3", "4,3", "2,8", "3..5"):
             with pytest.raises(ValueError):
                 parse_ngrid(spec)
-
-    def test_runconfig_validation(self):
-        ns = type("NS", (), {"subcommand": "apply", "alpha": "const:1", "output": None})
-        cfg = RunConfig.from_args(ns)
-        assert cfg.p == 2.0 and cfg.seed == 0
 
 
 class TestApply:
@@ -230,6 +226,26 @@ class TestSpectrum:
         assert payload["fit_range"] == [8, 32]
         assert len(payload["values"]) == 32
 
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ("--n-max", "4"),  # default --fit-lo 8 lies past the last index
+            ("--n-max", "16", "--fit-lo", "0"),
+            ("--n-max", "16", "--fit-lo", "5", "--fit-hi", "5"),  # a one-point fit
+        ],
+        ids=["lo-past-n-max", "lo-zero", "one-point"],
+    )
+    def test_bad_fit_window_rejected_before_assembly(self, capsys, monkeypatch, window):
+        def never(*args, **kwargs):
+            raise AssertionError("the fit window is checked before any assembly")
+
+        monkeypatch.setattr(cli, "approximation_numbers", never)
+        rc, out, err = run(
+            capsys, "spectrum", "--alpha", "const:0.5", "--fit", "--n", "128", *window
+        )
+        assert rc == EXIT_USAGE and out == ""
+        assert "--fit-lo" in err and "--fit-hi" in err and "--n-max" in err
+
     def test_matrix_echo(self, tmp_path, capsys):
         path = tmp_path / "m.csv"
         path.write_text("# any comment\n3,0,0\n0,2,0\n0,0,1\n")
@@ -314,10 +330,36 @@ class TestEntropy:
         _, rows = csv_rows(out)
         assert all(row[1] == "" for row in rows)
 
+    @pytest.mark.parametrize(
+        "spec, family, params",
+        [
+            ("ex1:0.5,1,1", "Example1", {"alpha0": 0.5, "gamma": 1.0, "lam": 1.0}),
+            ("ex2:0.5,1,2", "Example2", {"alpha0": 0.5, "gamma": 2.0, "lam": 1.0}),
+            ("ex3:0.5,1,1", "Example3", {"alpha0": 0.5, "gamma": 1.0, "lam": 1.0}),
+            ("ex4:0.5", "Example4", {"gamma": 0.5}),
+        ],
+    )
+    def test_fit_payload_family_and_params(self, capsys, spec, family, params):
+        rc, out, _ = run(
+            capsys, "entropy", "--alpha", spec, "--n-grid", "2^6..2^11", "--fit", "power"
+        )
+        assert rc == EXIT_OK
+        payload = json.loads(out)
+        assert payload["alpha"] == spec
+        assert payload["family"] == family
+        assert payload["params"] == params
+        assert all(type(v) is float for v in payload["params"].values())
+
     def test_non_family_alpha_rejected(self, capsys):
-        rc, _, err = run(capsys, "entropy", "--alpha", "const:0.5", "--n-grid", "64,128")
+        for spec in ("const:0.5", "reclog"):
+            rc, _, err = run(capsys, "entropy", "--alpha", spec, "--n-grid", "64,128")
+            assert rc == EXIT_USAGE
+            assert "ex1..ex4" in err
+
+    def test_threshold_family_gamma_range_rejected(self, capsys):
+        rc, _, err = run(capsys, "entropy", "--alpha", "ex4:1", "--n-grid", "64,128")
         assert rc == EXIT_USAGE
-        assert "ex1..ex4" in err
+        assert "gamma in (0, 1)" in err
 
 
 class TestVerify:

@@ -134,8 +134,9 @@ class TestRlValues:
         assert np.allclose(g.values, t, atol=1e-14)
 
     def test_rejects_targets_outside_interval(self):
-        with pytest.raises(ValueError):
-            rl_values(Constant(0.5), ONE, [1.2])
+        for targets in ([1.2], [0.5, math.nan]):
+            with pytest.raises(ValueError):
+                rl_values(Constant(0.5), ONE, targets)
 
     def test_nonpositive_order_at_target_raises(self):
         class Dipping(OrderFunction):

@@ -15,7 +15,7 @@ from varfrac.entropy import (
     build_example_estimate,
     choose_r,
     example1_partition,
-    family_order,
+    family_name,
     fit_rate,
     formula_lower,
     iterated_upper,
@@ -32,13 +32,16 @@ from varfrac.orders import (
 )
 from varfrac.spectral import assemble_matrix, carl_entropy_upper, singular_values
 
-EX1 = {"alpha0": 0.5, "lam": 1.0, "gamma": 1.0}
+EX1 = PowerOffset(0.5, 1.0, 1.0)
+EX2 = LogPowerOffset(0.5, 1.0, 1.0)
+EX3 = ExpOffset(0.5, 1.0, 1.0)
+EX4 = LogPower(0.5)
 DESK_GRID = [2**k for k in range(6, 21)]
 
 
 @pytest.fixture(scope="module")
 def ex1_desk() -> EntropyEstimate:
-    return build_example_estimate("Example1", EX1, DESK_GRID)
+    return build_example_estimate(EX1, DESK_GRID)
 
 
 def compensated_slope(est: EntropyEstimate, column, alpha0: float) -> float:
@@ -50,27 +53,27 @@ def compensated_slope(est: EntropyEstimate, column, alpha0: float) -> float:
 
 class TestPartitionPlan:
     def test_small_n_clamps_last_budget(self):
-        plan = example1_partition(3, 0.5, 1.0, 1.0)
+        plan = example1_partition(3, 1.0)
         assert plan.budgets == (3, 1)
         assert plan.clamped
         assert plan.blocks == 2
 
     def test_moderate_n(self):
-        plan = example1_partition(55, 0.5, 1.0, 1.0)
+        plan = example1_partition(55, 1.0)
         assert plan.blocks == 5
         assert plan.budgets == (55, 13, 6, 3, 2)
         assert plan.cut_points[1] == pytest.approx(1.0 / math.log(55.0), rel=1e-12)
         assert not plan.clamped
 
     def test_cut_exponent_follows_gamma(self):
-        plan = example1_partition(55, 0.5, 1.0, 2.0)
+        plan = example1_partition(55, 2.0)
         assert plan.cut_points[1] == pytest.approx(
             (1.0 / math.log(55.0)) ** 0.5, rel=1e-12
         )
 
     @pytest.mark.parametrize("n", [10, 100, 1000])
     def test_budget_sum_capped(self, n):
-        plan = example1_partition(n, 0.5, 1.0, 1.0)
+        plan = example1_partition(n, 1.0)
         assert plan.total <= 2 * n
 
     def test_validation(self):
@@ -83,9 +86,9 @@ class TestPartitionPlan:
         with pytest.raises(ValueError):
             PartitionPlan(cut_points=(0.0, 1.0), budgets=(0,))
         with pytest.raises(ValueError):
-            example1_partition(2, 0.5, 1.0, 1.0)
+            example1_partition(2, 1.0)
         with pytest.raises(ValueError):
-            example1_partition(55, -0.5, 1.0, 1.0)
+            example1_partition(55, 0.0)
 
 
 class TestTwoBlock:
@@ -148,7 +151,7 @@ class TestIterated:
         assert bound.value == pytest.approx(sum(bound.terms), rel=1e-14)
 
     def test_index_matches_partition(self):
-        plan = example1_partition(2**10, **EX1)
+        plan = example1_partition(2**10, EX1.gamma)
         bound = iterated_upper(PowerOffset(0.5, 1.0, 1.0), plan)
         assert bound.index == plan.total - plan.blocks + 1
 
@@ -187,30 +190,32 @@ class TestFormulaLower:
 
 
 class TestFamilies:
-    def test_family_order_types(self):
-        assert isinstance(family_order("Example1", EX1), PowerOffset)
-        assert isinstance(family_order("Example2", EX1), LogPowerOffset)
-        assert isinstance(family_order("Example3", EX1), ExpOffset)
-        assert isinstance(family_order("Example4", {"gamma": 0.5}), LogPower)
+    def test_family_name_mapping(self):
+        assert family_name(EX1) == "Example1"
+        assert family_name(EX2) == "Example2"
+        assert family_name(EX3) == "Example3"
+        assert family_name(EX4) == "Example4"
+        assert FAMILIES == {
+            PowerOffset: "Example1",
+            LogPowerOffset: "Example2",
+            ExpOffset: "Example3",
+            LogPower: "Example4",
+        }
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
-            family_order("Example9", EX1)
+            family_name(Constant(0.5))
 
     def test_threshold_family_gamma_range(self):
         for g in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
-                family_order("Example4", {"gamma": g})
-
-    def test_missing_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            predict_rate("Example1", {"alpha0": 0.5}, 64)
+                family_name(LogPower(g))
 
 
 class TestPredictRate:
     def test_power_offset_shape(self):
         n = round(math.exp(10.0))
-        rates = predict_rate("Example1", EX1, n)
+        rates = predict_rate(EX1, n)
         expected = n**-0.5 * math.log(n) ** -0.5
         assert rates["upper"] == pytest.approx(expected, rel=1e-12)
         assert rates["lower"] == rates["upper"]
@@ -218,14 +223,14 @@ class TestPredictRate:
     def test_power_offset_exponent_mismatch(self):
         # p != q shifts the log exponent to (alpha0 + 1/q - 1/p)/gamma
         n = 2**16
-        rates = predict_rate("Example1", EX1, n, p=2.0, q=4.0)
+        rates = predict_rate(EX1, n, p=2.0, q=4.0)
         expected = n**-0.5 * math.log(n) ** -0.25
         assert rates["upper"] == pytest.approx(expected, rel=1e-12)
 
     def test_log_power_offset_two_sided_constants(self):
         a0, lam, g = 0.5, 1.0, 2.0
         n = 2**14
-        rates = predict_rate("Example2", {"alpha0": a0, "lam": lam, "gamma": g}, n)
+        rates = predict_rate(LogPowerOffset(a0, lam, g), n)
         root = (lam * math.log(n)) ** (1.0 / (1.0 + g))
         c_up = a0 ** (g / (1.0 + g))
         c_lo = c_up * (g + 1.0) / g ** (g / (1.0 + g))
@@ -235,83 +240,79 @@ class TestPredictRate:
 
     def test_exp_offset_shape(self):
         n = 2**14
-        rates = predict_rate("Example3", EX1, n)
+        rates = predict_rate(EX3, n)
         expected = n**-0.5 * math.log(math.log(n)) ** -0.5
         assert rates["upper"] == pytest.approx(expected, rel=1e-12)
         assert rates["lower"] == rates["upper"]
 
     def test_threshold_family_shape(self):
         n = round(math.exp(16.0))
-        rates = predict_rate("Example4", {"gamma": 0.5}, n)
+        rates = predict_rate(EX4, n)
         assert rates["upper"] == pytest.approx(math.exp(-4.0), rel=1e-6)
         assert rates["lower"] is None
 
     def test_mismatched_exponents_rejected_where_unstated(self):
-        for family, params in (
-            ("Example2", EX1),
-            ("Example3", EX1),
-            ("Example4", {"gamma": 0.5}),
-        ):
+        for alpha in (EX2, EX3, EX4):
             with pytest.raises(ValueError):
-                predict_rate(family, params, 64, p=2.0, q=4.0)
+                predict_rate(alpha, 64, p=2.0, q=4.0)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
-            predict_rate("Example1", EX1, 8)
+            predict_rate(EX1, 8)
 
 
 class TestChooseR:
     def test_power_offset_lower(self):
         n = round(math.exp(16.0))
-        got = choose_r("Example1", {"alpha0": 0.5, "lam": 1.0, "gamma": 2.0}, n, "lower")
+        got = choose_r(PowerOffset(0.5, 1.0, 2.0), n, "lower")
         assert got == pytest.approx(0.25, rel=1e-6)
 
     def test_log_power_offset_upper(self):
         n = round(math.exp(16.0))
-        got = choose_r("Example2", {"alpha0": 1.0, "lam": 1.0, "gamma": 1.0}, n, "upper")
+        got = choose_r(LogPowerOffset(1.0, 1.0, 1.0), n, "upper")
         assert got == pytest.approx(math.exp(-4.0), rel=1e-6)
 
     def test_log_power_offset_lower_uses_boosted_scale(self):
-        params = {"alpha0": 1.0, "lam": 1.0, "gamma": 2.0}
+        alpha = LogPowerOffset(1.0, 1.0, 2.0)
         n = 2**16
-        up = choose_r("Example2", params, n, "upper")
-        lo = choose_r("Example2", params, n, "lower")
+        up = choose_r(alpha, n, "upper")
+        lo = choose_r(alpha, n, "lower")
         assert math.log(lo) == pytest.approx(
             2.0 ** (1.0 / 3.0) * math.log(up), rel=1e-12
         )
 
     def test_exp_offset_lower(self):
         n = round(math.exp(math.exp(4.0)))
-        got = choose_r("Example3", EX1, n, "lower")
+        got = choose_r(EX3, n, "lower")
         assert got == pytest.approx(0.25, rel=1e-6)
 
     def test_threshold_upper_is_reciprocal(self):
-        assert choose_r("Example4", {"gamma": 0.5}, 128, "upper") == pytest.approx(
+        assert choose_r(EX4, 128, "upper") == pytest.approx(
             1.0 / 128.0, rel=1e-14
         )
 
     def test_unprescribed_sides_raise(self):
         with pytest.raises(ValueError):
-            choose_r("Example1", EX1, 2**10, "upper")
+            choose_r(EX1, 2**10, "upper")
         with pytest.raises(ValueError):
-            choose_r("Example4", {"gamma": 0.5}, 2**10, "lower")
+            choose_r(EX4, 2**10, "lower")
         with pytest.raises(ValueError):
-            choose_r("Example1", EX1, 2**10, "sideways")
+            choose_r(EX1, 2**10, "sideways")
 
     def test_small_n_raises(self):
         with pytest.raises(ValueError):
-            choose_r("Example1", EX1, 1, "lower")
+            choose_r(EX1, 1, "lower")
         # radius formula lands at or above 1 for tiny n
         with pytest.raises(ValueError):
-            choose_r("Example1", EX1, 2, "lower")
+            choose_r(EX1, 2, "lower")
         with pytest.raises(ValueError):
-            choose_r("Example3", EX1, 3, "upper")
+            choose_r(EX3, 3, "upper")
 
 
 class TestBuildEstimate:
     def test_power_offset_indices_are_matched(self, ex1_desk):
         for n, idx in zip(DESK_GRID, ex1_desk.n_values):
-            plan = example1_partition(n, **EX1)
+            plan = example1_partition(n, EX1.gamma)
             assert idx == plan.total - plan.blocks + 1
 
     def test_bracket_holds_on_desk_grid(self, ex1_desk):
@@ -319,11 +320,11 @@ class TestBuildEstimate:
         assert all(a <= b for a, b in zip(ex1_desk.lower, ex1_desk.upper))
 
     def test_log_power_offset_indices_odd(self):
-        est = build_example_estimate("Example2", EX1, [2**k for k in range(6, 10)])
+        est = build_example_estimate(EX2, [2**k for k in range(6, 10)])
         assert all(idx % 2 == 1 for idx in est.n_values)
 
     def test_threshold_family_has_no_lower(self):
-        est = build_example_estimate("Example4", {"gamma": 0.5}, [64, 128, 256])
+        est = build_example_estimate(EX4, [64, 128, 256])
         assert est.lower is None
         assert est.n_values == (64, 128, 256)
 
@@ -331,7 +332,7 @@ class TestBuildEstimate:
         from varfrac.diagnostics import local_norm_bound
 
         n = 256
-        est = build_example_estimate("Example4", {"gamma": 0.5}, [n])
+        est = build_example_estimate(EX4, [n])
         alpha = LogPower(0.5)
         r = 1.0 / n
         expected = local_norm_bound(alpha, "zero", r) + n ** (-float(alpha.eval(r)))
@@ -347,7 +348,7 @@ class TestBuildEstimate:
                 assert 0.1 <= up / pred <= 10.0
 
     def test_iterated_tracks_rate_shape_at_desk_scale(self):
-        plan = example1_partition(2**10, **EX1)
+        plan = example1_partition(2**10, EX1.gamma)
         bound = iterated_upper(PowerOffset(0.5, 1.0, 1.0), plan)
         shape = (2.0**10) ** -0.5 * math.log(2.0**10) ** -0.5
         ratio = bound.value / shape
@@ -362,9 +363,8 @@ class TestBuildEstimate:
     )
     @settings(max_examples=60, deadline=None)
     def test_bracket_property(self, alpha0, lam, gamma, k):
-        params = {"alpha0": alpha0, "lam": lam, "gamma": gamma}
         # the constructor itself validates lower <= upper
-        est = build_example_estimate("Example1", params, [2**k])
+        est = build_example_estimate(PowerOffset(alpha0, lam, gamma), [2**k])
         assert est.lower[0] <= est.upper[0]
 
     @pytest.mark.xfail(
@@ -382,7 +382,7 @@ class TestBuildEstimate:
     def test_iterated_beats_any_single_cut_at_large_n(self):
         n = 2**12
         alpha = PowerOffset(0.5, 1.0, 1.0)
-        it = iterated_upper(alpha, example1_partition(n, **EX1)).value
+        it = iterated_upper(alpha, example1_partition(n, EX1.gamma)).value
         best_single = min(
             two_block_upper(alpha, float(r), n, n)
             for r in np.geomspace(1e-6, 1.0 - 1e-6, 2000)
@@ -392,12 +392,12 @@ class TestBuildEstimate:
     def test_both_upper_routes_dominate_the_lower_formula(self):
         n = 2**12
         alpha = PowerOffset(0.5, 1.0, 1.0)
-        bound = iterated_upper(alpha, example1_partition(n, **EX1))
+        bound = iterated_upper(alpha, example1_partition(n, EX1.gamma))
         best_single = min(
             two_block_upper(alpha, float(r), n, n)
             for r in np.geomspace(1e-6, 1.0 - 1e-6, 2000)
         )
-        low = formula_lower(alpha, choose_r("Example1", EX1, bound.index, "lower"), bound.index)
+        low = formula_lower(alpha, choose_r(EX1, bound.index, "lower"), bound.index)
         assert low <= best_single and low <= bound.value
 
     def test_csv_with_and_without_lower(self, tmp_path, ex1_desk):
@@ -408,7 +408,7 @@ class TestBuildEstimate:
         assert len(lines) == 1 + len(DESK_GRID)
         assert "" not in lines[1].split(",")
 
-        est4 = build_example_estimate("Example4", {"gamma": 0.5}, [64, 128])
+        est4 = build_example_estimate(EX4, [64, 128])
         part = tmp_path / "ex4.csv"
         est4.to_csv(str(part))
         row = part.read_text().splitlines()[1].split(",")
@@ -478,9 +478,7 @@ class TestFitRate:
             fit_rate(ex1_desk, "power_power")
         with pytest.raises(ValueError):
             fit_rate(ex1_desk, "power", side="middle")
-        est4 = build_example_estimate(
-            "Example4", {"gamma": 0.5}, [2**k for k in range(6, 13)]
-        )
+        est4 = build_example_estimate(EX4, [2**k for k in range(6, 13)])
         with pytest.raises(ValueError):
             fit_rate(est4, "power", side="lower")
         short = EntropyEstimate(
@@ -518,7 +516,7 @@ class TestDeskScaleRates:
         assert -0.6 <= lo <= -0.4
 
     def test_exp_offset_loglog_slopes(self):
-        est = build_example_estimate("Example3", EX1, DESK_GRID)
+        est = build_example_estimate(EX3, DESK_GRID)
         pred = fit_rate(est, "power_loglog", "predicted")
         assert pred.coefficients[2] == pytest.approx(-0.5, abs=1e-9)
         low = fit_rate(est, "power_loglog", "lower")
@@ -528,7 +526,7 @@ class TestDeskScaleRates:
         assert up.coefficients[2] == pytest.approx(-0.178, rel=0.05)
 
     def test_threshold_family_stretched_exponent(self):
-        est = build_example_estimate("Example4", {"gamma": 0.5}, DESK_GRID)
+        est = build_example_estimate(EX4, DESK_GRID)
         x = np.sqrt(np.log(np.asarray(est.n_values, dtype=float)))
         slope = np.polyfit(x, np.log(np.asarray(est.upper)), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
