@@ -195,15 +195,20 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if args.matrix:
+    if (args.alpha is None) == (args.matrix is None):
+        raise ValueError("spectrum needs exactly one of --alpha and --matrix")
+    if args.matrix is not None:
         entries = _load_matrix(args.matrix)
         m = OperatorMatrix(n=entries.shape[0], r=args.r, p=args.p, q=args.q, entries=entries)
         _emit(_spectrum_text(singular_values(m)), args.output)
         return EXIT_OK
-    if not args.alpha:
-        raise ValueError("spectrum needs --alpha or --matrix")
     alpha = parse_alpha(args.alpha)
     if args.fit:
+        if args.p != 2.0 or args.q != 2.0:
+            raise ValueError(
+                "spectrum --fit computes L2 approximation numbers; --p and --q must "
+                f"be 2, got --p {args.p:g}, --q {args.q:g}"
+            )
         lo, hi = args.fit_lo, min(args.fit_hi, args.n_max)
         if not 1 <= lo < hi:
             raise ValueError(
@@ -348,31 +353,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp, alpha_required=True):
+    def add_common(sp, **alpha):
         sp.add_argument(
             "--alpha",
-            required=alpha_required,
-            default=None if alpha_required else "const:0.5",
+            **alpha,
             help="order spec: const:<a>, ex1:<a0>,<lam>,<gamma>, ex2:..., ex3:..., "
             "ex4:<gamma>, reclog, csv:<path>",
         )
         sp.add_argument("--output", default=None, help="output path (default stdout)")
 
     sp = sub.add_parser("apply", help="evaluate the integration operator on a function")
-    add_common(sp)
+    add_common(sp, required=True)
     sp.add_argument("--f", default="one", help="input: one, ramp, cos3, or csv:<path>")
     sp.add_argument("--targets", default="65", help="point count or comma-separated points")
     sp.add_argument("--adjoint", action="store_true", help="apply the right-sided operator")
     sp.set_defaults(func=cmd_apply)
 
     sp = sub.add_parser("diagnose", help="boundedness and compactness diagnostics")
-    add_common(sp)
+    add_common(sp, required=True)
     sp.add_argument("--check", required=True, choices=DIAGNOSE_CHECKS)
     sp.add_argument("--p", type=float, default=2.0, help="source exponent for lptolinf")
     sp.set_defaults(func=cmd_diagnose)
 
     sp = sub.add_parser("spectrum", help="singular values / approximation numbers")
-    add_common(sp, alpha_required=False)
+    add_common(sp)
     sp.add_argument("--n", type=int, default=None, help="matrix size (or N_disc with --fit)")
     sp.add_argument("--r", type=float, default=1.0, help="right endpoint of the interval")
     sp.add_argument("--p", type=float, default=2.0)
@@ -385,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("entropy", help="entropy-number brackets for the worked families")
-    add_common(sp)
+    add_common(sp, required=True)
     sp.add_argument("--n-grid", default="2^6..2^20", help="2^a..2^b or comma-separated ints")
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--q", type=float, default=2.0)
@@ -398,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_entropy)
 
     sp = sub.add_parser("verify", help="identity, witness, and maximal-bound suites")
-    add_common(sp, alpha_required=False)
+    add_common(sp, default="const:0.5")
     sp.add_argument("--suite", required=True, choices=VERIFY_SUITES)
     sp.add_argument("--n-cells", type=int, default=512, help="coarse cell count (identities)")
     sp.add_argument("--p", type=float, default=2.0, help="witness exponent")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -112,9 +111,10 @@ class GridFunction:
             raise ValueError("need at least two nodes")
         if values.shape != nodes.shape:
             raise ValueError("values must match nodes in shape")
-        if np.any(np.diff(nodes) <= 0.0):
+        # both node checks are written so that a NaN node fails them
+        if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("nodes must be strictly increasing")
-        if nodes[0] < -1e-12 or nodes[-1] > 1.0 + 1e-12:
+        if not (nodes[0] >= -1e-12 and nodes[-1] <= 1.0 + 1e-12):
             raise ValueError("nodes must lie within [0, 1]")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
@@ -256,24 +256,6 @@ class GridFunction:
         return self * -1.0
 
     # -- construction and serialization -----------------------------------
-
-    @classmethod
-    def from_callable(
-        cls,
-        fn: Callable,
-        n: int = 257,
-        a: float = 0.0,
-        b: float = 1.0,
-        interpretation: str = "linear",
-    ) -> "GridFunction":
-        """Sample fn on n uniform nodes over [a, b]."""
-        if n < 2:
-            raise ValueError("need n >= 2 sample nodes")
-        x = np.linspace(a, b, n)
-        vals = np.asarray(fn(x), dtype=float)
-        if vals.shape != x.shape:
-            vals = np.array([float(fn(xx)) for xx in x])
-        return cls(x, vals, interpretation)
 
     def to_csv(self, path) -> None:
         """Write `# interpretation=...`, a header row, then node,value rows (LF)."""

@@ -18,7 +18,6 @@ quadrature artifacts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -88,9 +87,6 @@ class NormReport:
             "method": self.method,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class CompactnessVerdict:
@@ -128,9 +124,6 @@ class CompactnessVerdict:
             "tol_compact": self.tol_compact,
             "tol_noncompact": self.tol_noncompact,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # --------------------------------------------------------------------------
@@ -254,24 +247,18 @@ def _l1_inner_integral(alpha: OrderFunction, s: float) -> float:
     return _panel_gauss(integrand, edges) + sliver
 
 
-def l1_operator_norm(alpha: OrderFunction, s_grid=None) -> NormReport:
+def l1_operator_norm(alpha: OrderFunction) -> NormReport:
     """Operator norm on L1: sup over s of int_s^1 (t-s)^(alpha(t)-1)/Gamma dt.
 
-    The supremum is taken over s_grid (default: a coarse sweep of [0.05,
-    0.95]) augmented with the doubling refinement schedule toward s = 0,
-    which is where the inner integral can blow up.  The evidence pairs are
-    the refinement-probe values, deepest probe last.
+    The supremum is taken over a 19-point sweep of [0.05, 0.95] augmented
+    with the doubling refinement schedule toward s = 0, which is where the
+    inner integral can blow up.  The evidence pairs are the refinement-probe
+    values, deepest probe last.
     """
-    probes = [] if s_grid is None else [float(s) for s in np.atleast_1d(s_grid)]
-    if any(not (0.0 <= s < 1.0) for s in probes):
-        raise ValueError("probe points must lie in [0, 1)")
-    if s_grid is None:
-        probes = list(np.linspace(0.05, 0.95, 19))
-
     evidence = []
     for eps in TRUNCATION_EPSILONS:
         evidence.append((eps, _l1_inner_integral(alpha, eps)))
-    wide = [_l1_inner_integral(alpha, s) for s in probes]
+    wide = [_l1_inner_integral(alpha, s) for s in np.linspace(0.05, 0.95, 19)]
 
     deep_values = [v for _, v in evidence]
     divergent = divergence_trend(deep_values)
@@ -314,16 +301,6 @@ def lp_to_linf_norm(alpha: OrderFunction, p: float) -> NormReport:
             method="lp-to-linf/order-not-above-1p",
         )
 
-    def expression(t):
-        a = np.asarray(alpha.eval(t))
-        m = a - 1.0 / p
-        good = m > 0.0
-        out = np.zeros_like(a)
-        if np.any(good):
-            tg, ag, mg = t[good], a[good], m[good]
-            out[good] = np.power(tg, mg) / (gamma(ag) * np.power(mg, 1.0 / q))
-        return out
-
     evidence = []
     running = 0.0
     bp = [b for b in alpha.breakpoints if 0.0 < b < 1.0]
@@ -337,16 +314,18 @@ def lp_to_linf_norm(alpha: OrderFunction, p: float) -> NormReport:
                 )
             )
         )
-        deep_margin = np.asarray(alpha.eval(grid)) - 1.0 / p
-        if np.any(deep_margin <= 0.0):
-            i = int(np.argmin(deep_margin))
+        a = np.asarray(alpha.eval(grid))
+        margin = a - 1.0 / p
+        if np.any(margin <= 0.0):
+            i = int(np.argmin(margin))
             return NormReport(
                 value=math.inf,
                 divergent=True,
-                evidence=tuple(evidence) + ((float(grid[i]), float(deep_margin[i])),),
+                evidence=tuple(evidence) + ((float(grid[i]), float(margin[i])),),
                 method="lp-to-linf/order-reaches-1p-toward-0",
             )
-        running = max(running, float(np.max(expression(grid))))
+        terms = np.power(grid, margin) / (gamma(a) * np.power(margin, 1.0 / q))
+        running = max(running, float(np.max(terms)))
         evidence.append((eps, running))
 
     divergent = divergence_trend([v for _, v in evidence])
@@ -362,27 +341,24 @@ def lp_to_linf_norm(alpha: OrderFunction, p: float) -> NormReport:
 # --------------------------------------------------------------------------
 # compactness
 
+# Dyadic sampling depth: 2^-360 ~ 4e-109 is deep enough for orders whose
+# decay is only exp(-sqrt(log(1/t))).
+_COMPACT_DEPTH = 360
 
-def classify_compactness(
-    alpha: OrderFunction,
-    endpoint: str = "zero",
-    k_max: int = 360,
-) -> CompactnessVerdict:
+
+def classify_compactness(alpha: OrderFunction, endpoint: str = "zero") -> CompactnessVerdict:
     """Endpoint compactness dichotomy from the decay of t^alpha(t).
 
     Samples g_k = t_k^alpha(t_k) along t_k = 2^-k (endpoint zero) or
-    g_k = u_k^alpha(1-u_k) along u_k = 2^-k (endpoint one), k = 1..k_max.
+    g_k = u_k^alpha(1-u_k) along u_k = 2^-k (endpoint one), k = 1..360.
     Compact requires the samples to fall below tol_compact and to be
     non-increasing over the deep half; NonCompact requires them to stay
     above tol_noncompact with a flat tail.  Anything else, in particular an
-    oscillating profile, is Indeterminate.  k_max = 360 reaches t ~ 4e-109,
-    deep enough for orders whose decay is only exp(-sqrt(log(1/t))).
+    oscillating profile, is Indeterminate.
     """
     if endpoint not in ("zero", "one"):
         raise ValueError(f"unknown endpoint {endpoint!r}")
-    if k_max < 8:
-        raise ValueError("k_max too small to judge a trend")
-    k = np.arange(1, k_max + 1, dtype=float)
+    k = np.arange(1, _COMPACT_DEPTH + 1, dtype=float)
     u = 2.0**-k
     where = u if endpoint == "zero" else np.minimum(1.0 - u, 1.0)
     a = np.asarray(alpha.eval(where))
@@ -453,24 +429,21 @@ def verify_semigroup(
     beta: float,
     f: GridFunction,
     n_cells: int = 256,
-    targets=None,
 ) -> float:
     """Discrepancy of the semigroup identity R^(alpha+beta) = R^alpha R^beta.
 
     The left side is integrated directly.  The right side routes R^beta f
     through an interpolant sampled on n_cells graded cells, so the
     reported discrepancy is the resampling error and contracts as the cell
-    count doubles; both sides are compared on a shared target grid.  The
+    count doubles; both sides are compared on 65 evenly spaced targets.  The
     grading exponent matches the t^beta ramp of R^beta f at 0, which keeps
     the interpolation error uniform across cells.
     """
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError(f"need beta > 0, got {beta}")
     _check_n_cells(n_cells)
-    lo, hi = f.domain
-    if targets is None:
-        targets = np.linspace(0.0, hi, 65)
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    hi = f.domain[1]
+    targets = np.linspace(0.0, hi, 65)
 
     lhs = rl_values(Shifted(alpha, beta), f, targets)
 

@@ -370,9 +370,10 @@ class Tabulated(OrderFunction):
         if len(nodes) < 2 or len(nodes) != len(values):
             raise OrderFunctionError("need >= 2 nodes and matching values")
         arr = np.asarray(nodes)
-        if np.any(np.diff(arr) <= 0.0):
+        # both node checks are written so that a NaN node fails them
+        if not np.all(np.diff(arr) > 0.0):
             raise OrderFunctionError("nodes must be strictly increasing")
-        if arr[0] < 0.0 or arr[-1] > 1.0:
+        if not (arr[0] >= 0.0 and arr[-1] <= 1.0):
             raise OrderFunctionError("nodes must lie within [0, 1]")
         vals = np.asarray(values)
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
@@ -423,13 +424,14 @@ class Tabulated(OrderFunction):
         return float(np.max(self._cell_range(a, b)))
 
     @classmethod
-    def from_csv(cls, path, interpolation: str = "linear") -> "Tabulated":
-        """Load (t, alpha) samples from a two-column CSV; a header row is optional."""
+    def from_csv(cls, path) -> "Tabulated":
+        """Load linearly interpolated (t, alpha) samples from a two-column CSV;
+        a header row is optional."""
         try:
             table, _ = read_table(path, columns=2)
         except ValueError as exc:
             raise OrderFunctionError(str(exc)) from None
-        return cls(tuple(table[:, 0]), tuple(table[:, 1]), interpolation)
+        return cls(tuple(table[:, 0]), tuple(table[:, 1]))
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,6 @@ class OperatorMatrix:
     p: float
     q: float
     entries: np.ndarray
-    basis_tag: str = "normalized-indicator"
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -99,10 +98,8 @@ class OperatorMatrix:
         return np.diag(self.entries)
 
     def to_csv(self, path: str) -> None:
-        header = json.dumps(
-            {"basis_tag": self.basis_tag, "n": self.n, "p": self.p, "q": self.q, "r": self.r},
-            sort_keys=True,
-        )
+        fields = {"n": self.n, "p": self.p, "q": self.q, "r": self.r}
+        header = json.dumps({"basis_tag": "normalized-indicator", **fields}, sort_keys=True)
         lines = ["# " + header]
         for row in self.entries:
             lines.append(",".join(repr(float(x)) for x in row))
@@ -316,11 +313,11 @@ def diagonal_floor(alpha: OrderFunction, n: int, r: float, p: float, q: float) -
     return (n / r) ** (1.0 / p - 1.0 / q + 1.0) / c1 * (r / (2.0 * n)) ** (a1 + 1.0)
 
 
-def index_domination_report(sv_smooth, sv_rough, slack: float = 0.01) -> dict:
+def index_domination_report(sv_smooth, sv_rough) -> dict:
     """Soft check that more smoothing gives index-wise smaller singular values.
 
-    Returns the fraction of indices where sv_smooth exceeds (1 + slack) *
-    sv_rough and the worst relative excess.  Reported, not asserted: the
+    Returns the number of indices where sv_smooth exceeds 1.01 * sv_rough
+    and the worst relative excess.  Reported, not asserted: the
     underlying monotonicity is expected at desk scale but is not a theorem.
     """
     a = np.asarray(sv_smooth, dtype=float)
@@ -328,7 +325,7 @@ def index_domination_report(sv_smooth, sv_rough, slack: float = 0.01) -> dict:
     k = min(a.size, b.size)
     a, b = a[:k], b[:k]
     excess = a / b - 1.0
-    violated = excess > slack
+    violated = excess > 0.01
     return {
         "checked": int(k),
         "violations": int(np.count_nonzero(violated)),

@@ -39,7 +39,8 @@ from varfrac.spectral import (
 )
 
 ONE = GridFunction((0.0, 1.0), (1.0, 1.0))
-COS3 = GridFunction.from_callable(lambda t: np.cos(3.0 * t), n=257)
+COS3_NODES = np.linspace(0.0, 1.0, 257)
+COS3 = GridFunction(COS3_NODES, np.cos(3.0 * COS3_NODES))
 
 
 def report(num: int, ok: bool, detail: str, elapsed: float, limit: float) -> None:

@@ -164,6 +164,18 @@ class TestApply:
         assert exc.value.code == EXIT_USAGE
         assert "--n-cells" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--f", "--alpha"])
+    def test_nan_node_in_csv_rejected(self, tmp_path, capsys, flag):
+        path = tmp_path / "nan.csv"
+        path.write_text("0.0,0.5\nnan,0.6\n1.0,0.7\n")
+        specs = {"--alpha": "const:0.5", "--f": "one", flag: f"csv:{path}"}
+        rc, out, err = run(
+            capsys, "apply", "--alpha", specs["--alpha"], "--f", specs["--f"],
+            "--targets", "0.5,1.0",
+        )
+        assert rc == EXIT_USAGE and out == ""
+        assert "strictly increasing" in err
+
     def test_order_past_gamma_overflow_gives_zero(self, capsys):
         # Gamma(200) overflows a double: 1/Gamma is 0, not an error
         rc, out, _ = run(capsys, "apply", "--alpha", "const:200", "--targets", "0.5,1.0")
@@ -245,6 +257,31 @@ class TestSpectrum:
         )
         assert rc == EXIT_USAGE and out == ""
         assert "--fit-lo" in err and "--fit-hi" in err and "--n-max" in err
+
+    @pytest.mark.parametrize(
+        "exponents",
+        [("--p", "3"), ("--q", "1.5"), ("--p", "3", "--q", "1.5")],
+        ids=["p", "q", "both"],
+    )
+    def test_fit_rejects_non_l2_exponents_before_assembly(self, capsys, monkeypatch, exponents):
+        def never(*args, **kwargs):
+            raise AssertionError("the exponents are checked before any assembly")
+
+        monkeypatch.setattr(cli, "approximation_numbers", never)
+        rc, out, err = run(
+            capsys, "spectrum", "--alpha", "const:0.5", "--fit", "--n", "128", *exponents
+        )
+        assert rc == EXIT_USAGE and out == ""
+        assert "--p" in err and "--q" in err
+
+    @pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+    def test_needs_exactly_one_of_alpha_and_matrix(self, tmp_path, capsys, both):
+        path = tmp_path / "m.csv"
+        path.write_text("1,0\n0,1\n")
+        source = ("--alpha", "const:1", "--matrix", str(path)) if both else ()
+        rc, out, err = run(capsys, "spectrum", "--n", "8", *source)
+        assert rc == EXIT_USAGE and out == ""
+        assert "--alpha" in err and "--matrix" in err
 
     def test_matrix_echo(self, tmp_path, capsys):
         path = tmp_path / "m.csv"

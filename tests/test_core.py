@@ -309,6 +309,13 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             _ = f + ONE
 
+    @pytest.mark.parametrize(
+        "nodes", [(math.nan, 0.5, 1.0), (0.0, math.nan, 1.0), (0.0, 0.5, math.nan)]
+    )
+    def test_rejects_nan_node(self, nodes):
+        with pytest.raises(ValueError, match="nodes"):
+            GridFunction(nodes, (1.0, 2.0, 1.0))
+
 
 # -- slow references ----------------------------------------------------------
 # The per-target loops that rl_values, q_values and maximal_values ran before

@@ -117,6 +117,10 @@ class TestTwoBlock:
     def test_rejects_decreasing_order(self):
         with pytest.raises(ValueError):
             two_block_upper(Tabulated((0.0, 1.0), (1.0, 0.5)), 0.5, 4, 4)
+        # a dip narrower than the spacing of any fixed probe grid
+        dip = Tabulated((0.0, 0.501, 0.5015, 0.502, 1.0), (1.0, 2.0, 1.5, 2.0, 3.0))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            two_block_upper(dip, 0.3, 4, 4)
 
     def test_rejects_order_at_or_below_floor(self):
         with pytest.raises(ValueError):

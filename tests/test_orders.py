@@ -100,6 +100,13 @@ class TestValidation:
         with pytest.raises(OrderFunctionError):
             Tabulated((0.0, 0.5, 0.5), (1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "nodes", [(math.nan, 0.5, 1.0), (0.0, math.nan, 1.0), (0.0, 0.5, math.nan)]
+    )
+    def test_tabulated_rejects_nan_node(self, nodes):
+        with pytest.raises(OrderFunctionError, match="nodes"):
+            Tabulated(nodes, (0.5, 0.6, 0.7))
+
     def test_shifted_needs_positive_offset(self):
         with pytest.raises(OrderFunctionError):
             Shifted(Constant(0.5), 0.0)
