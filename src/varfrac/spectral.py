@@ -9,10 +9,12 @@ of [0, r], giving the lower-triangular matrix
 The inner integral is a closed-form kernel moment, the difference of
 (t - e_k)_+^alpha(t) at the two edges of I_j, taken before the outer
 integral.  The outer integral over I_i splits I_i at every breakpoint of
-alpha inside it.  On each piece, only the two corner columns, the diagonal
-and the subdiagonal, whose moments lose smoothness at the left edge of I_i,
-use composite 8-point Gauss on panels graded toward the piece's left edge;
-every other column is analytic on the piece and uses plain 8-point Gauss.
+alpha inside it.  On each piece, the diagonal and the subdiagonal, whose
+moments lose smoothness at the left edge of I_i, and the column next to
+them, whose nearest singularity is too close for one 8-point panel, use
+composite 8-point Gauss on panels graded toward the piece's left edge;
+every other column is analytic well beyond the piece and uses plain
+8-point Gauss.
 Pieces are processed in blocks, with alpha, gamma and the weights evaluated
 once per block.  Distances are taken in units of h from the left edge of
 I_i, and every entry is summed along the points axis in one fixed order, so
@@ -54,7 +56,7 @@ __all__ = [
     "spectrum_to_csv",
 ]
 
-# Outer rule on a unit piece, in local units of h.  The corner columns use
+# Outer rule on a unit piece, in local units of h.  The near columns use
 # 8-point Gauss on panels graded 2^-24..2^-1 toward the left edge: the
 # innermost panel [0, 2^-24] keeps the kernel corner at a panel edge, so only
 # that panel sees a non-smooth integrand and its mass is O(2^-24) of the
@@ -150,8 +152,9 @@ def assemble_matrix(
     The outer integral splits I_i at each breakpoint of alpha inside it.  On
     each piece, the two corner columns, the diagonal x^a and the subdiagonal
     (1 + x)^a - x^a, use 8-point Gauss on 25 panels graded toward the
-    piece's left edge; the columns d >= 2 are analytic there (nearest
-    singularity at Gauss coordinate -3 or further) and use plain 8-point
+    piece's left edge, and so does d = 2: its singularity at Gauss
+    coordinate -3 leaves one 8-point panel a relative error of up to 1e-12.
+    The columns d >= 3 have theirs at -5 or further and use plain 8-point
     Gauss.  Pieces run in blocks of _BLOCK, with alpha, gamma and the
     weights evaluated once per block.  Each entry is summed along the
     contiguous points axis in one fixed order, so for a constant order
@@ -187,20 +190,22 @@ def assemble_matrix(
         x = base + width * _NODES
         a = np.asarray(alpha.eval(edges[rows, None] + h * x))
         w = h ** (a + 1.0) * (width * _WEIGHTS) / (a * gamma(a))
-        # weighted moment sums by distance d = i - j: the corner columns
-        # d = 0, 1 on the graded nodes, d >= 2 on the plain ones
-        span = max(int(rows[-1]), 1)
+        # weighted moment sums by distance d = i - j: the near columns
+        # d = 0, 1, 2 on the graded nodes, d >= 3 on the plain ones
+        span = max(int(rows[-1]), 2)
         mom = np.empty((rows.size, span + 1))
         xc, ac, wc = x[:, :_CORNER], a[:, :_CORNER], w[:, :_CORNER]
         corner = np.power(xc, ac)
+        first = np.power(1.0 + xc, ac)
         mom[:, 0] = np.sum(corner * wc, axis=1)
-        mom[:, 1] = np.sum((np.power(1.0 + xc, ac) - corner) * wc, axis=1)
+        mom[:, 1] = np.sum((first - corner) * wc, axis=1)
+        mom[:, 2] = np.sum((np.power(2.0 + xc, ac) - first) * wc, axis=1)
         xf, af, wf = x[:, None, _CORNER:], a[:, None, _CORNER:], w[:, None, _CORNER:]
-        far = np.arange(1.0, span + 1.0)[:, None] + xf
+        far = np.arange(2.0, span + 1.0)[:, None] + xf
         np.power(far, af, out=far)
         far = far[:, 1:] - far[:, :-1]
         far *= wf
-        mom[:, 2:] = np.sum(far, axis=2)
+        mom[:, 3:] = np.sum(far, axis=2)
         for k, i in enumerate(rows.tolist()):
             entries[i, : i + 1] += mom[k, i::-1]
     entries *= prefactor
