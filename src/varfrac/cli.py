@@ -51,6 +51,7 @@ from .orders import (
 )
 from .spectral import (
     OperatorMatrix,
+    _check_dense_size,
     _spectrum_text,
     approximation_numbers,
     assemble_matrix,
@@ -198,8 +199,19 @@ def cmd_spectrum(args) -> int:
     if (args.alpha is None) == (args.matrix is None):
         raise ValueError("spectrum needs exactly one of --alpha and --matrix")
     if args.matrix is not None:
+        # the file is the matrix, so nothing would read these flags
+        ignored = {
+            "--fit": args.fit,
+            "--n": args.n is not None,
+            "--r": args.r != 1.0,
+            "--p": args.p != 2.0,
+            "--q": args.q != 2.0,
+        }
+        named = [flag for flag, given in ignored.items() if given]
+        if named:
+            raise ValueError(f"spectrum --matrix uses the file as it is; drop {', '.join(named)}")
         entries = _load_matrix(args.matrix)
-        m = OperatorMatrix(n=entries.shape[0], r=args.r, p=args.p, q=args.q, entries=entries)
+        m = OperatorMatrix(n=entries.shape[0], r=1.0, p=2.0, q=2.0, entries=entries)
         _emit(_spectrum_text(singular_values(m)), args.output)
         return EXIT_OK
     alpha = parse_alpha(args.alpha)
@@ -230,7 +242,9 @@ def cmd_spectrum(args) -> int:
         }
         _emit(_json_dumps(payload), args.output)
         return EXIT_OK
-    m = assemble_matrix(alpha, n=args.n or 256, r=args.r, p=args.p, q=args.q)
+    n = 256 if args.n is None else args.n
+    _check_dense_size(n)
+    m = assemble_matrix(alpha, n=n, r=args.r, p=args.p, q=args.q)
     _emit(_spectrum_text(singular_values(m)), args.output)
     return EXIT_OK
 
@@ -249,8 +263,9 @@ def cmd_entropy(args) -> int:
     family = family_name(alpha)
     grid = parse_ngrid(args.n_grid)
     est = build_example_estimate(alpha, grid, p=args.p, q=args.q)
-    if args.output:
-        est.to_csv(args.output)
+    # the bracket CSV goes to --output, or to stdout when no fit summary takes it
+    if args.output or not args.fit:
+        _emit(est.csv_text(), args.output)
     if args.fit:
         sides = ["upper", "predicted"] + (["lower"] if est.lower is not None else [])
         fits = {side: fit_rate(est, args.fit, side).to_dict() for side in sides}
@@ -261,12 +276,7 @@ def cmd_entropy(args) -> int:
             "model": args.fit,
             "params": dataclasses.asdict(alpha),
         }
-        # the bracket CSV (if requested) went to the output path; the fit
-        # summary is the stdout payload
         _emit(_json_dumps(payload), None)
-        return EXIT_OK
-    if not args.output:
-        _emit(est.csv_text(), None)
     return EXIT_OK
 
 
@@ -418,7 +428,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         p, q = getattr(args, "p", 2.0), getattr(args, "q", 2.0)
-        if p < 1.0 or q < 1.0:
+        # written so that a NaN exponent fails the check too
+        if not (p >= 1.0 and q >= 1.0):
             raise ValueError(f"exponents must satisfy p, q >= 1, got p={p}, q={q}")
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"seed must be nonnegative, got {args.seed}")

@@ -20,12 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._csvio import atomic_write_text, read_table
-from .orders import OrderFunction
+
+if TYPE_CHECKING:
+    # annotations only: orders builds Tabulated on GridFunction and imports core
+    from .orders import OrderFunction
 
 __all__ = [
     "NumericalError",
@@ -34,12 +38,9 @@ __all__ = [
     "gamma",
     "GridFunction",
     "rl_values",
-    "rl_apply",
     "q_values",
-    "q_apply",
     "lp_norm",
     "maximal_values",
-    "maximal_function",
     "besov_norm",
     "project_average",
 ]
@@ -357,12 +358,6 @@ def rl_values(alpha: OrderFunction, f: GridFunction, targets) -> np.ndarray:
     return _product_integral(alpha, f, ts, ts > 0.0, right=False)
 
 
-def rl_apply(alpha: OrderFunction, f: GridFunction, targets) -> GridFunction:
-    """rl_values packaged as a piecewise-linear GridFunction on the targets."""
-    ts = np.asarray(targets, dtype=float)
-    return GridFunction(ts, rl_values(alpha, f, ts), "linear")
-
-
 def q_values(alpha: OrderFunction, f: GridFunction, targets) -> np.ndarray:
     """(Q f)(t) = (1/Gamma(a(t))) int_t^r (s-t)^(a(t)-1) f(s) ds, r = right end of f.
 
@@ -372,11 +367,6 @@ def q_values(alpha: OrderFunction, f: GridFunction, targets) -> np.ndarray:
     r = f.domain[1]
     ts = _checked_targets(targets, r)
     return _product_integral(alpha, f, ts, ts < r, right=True)
-
-
-def q_apply(alpha: OrderFunction, f: GridFunction, targets) -> GridFunction:
-    ts = np.asarray(targets, dtype=float)
-    return GridFunction(ts, q_values(alpha, f, ts), "linear")
 
 
 # -- norms ------------------------------------------------------------------
@@ -460,11 +450,6 @@ def maximal_values(f: GridFunction, targets) -> np.ndarray:
             np.maximum.at(best, rows, _window_mass(g, t[rows, 0], rs) / (2.0 * rs))
         out[blk] = best
     return out
-
-
-def maximal_function(f: GridFunction, targets) -> GridFunction:
-    ts = np.asarray(targets, dtype=float)
-    return GridFunction(ts, maximal_values(f, ts), "linear")
 
 
 # -- Besov norm and averaging projection --------------------------------------

@@ -94,23 +94,21 @@ class CompactnessVerdict:
 
     limit_evidence holds t_k^{alpha(t_k)} (endpoint zero) or
     u_k^{alpha(1 - u_k)} (endpoint one) along t_k = u_k = 2^-k, k = 1, 2, ...;
-    phi_evidence holds the matching alpha * |log| products.  The thresholds
-    used by the trend rules are carried alongside so callers can re-judge.
+    phi_evidence holds the matching alpha * |log| products.  to_dict also
+    reports the thresholds of the trend rules, so callers can re-judge.
     """
 
     verdict: str
     endpoint: str
     limit_evidence: tuple[float, ...]
     phi_evidence: tuple[float, ...]
-    tol_compact: float = 1e-6
-    tol_noncompact: float = 0.01
 
     def __post_init__(self):
         if self.verdict not in ("Compact", "NonCompact", "Indeterminate"):
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if self.endpoint not in ("zero", "one"):
             raise ValueError(f"unknown endpoint {self.endpoint!r}")
-        if self.verdict == "NonCompact" and min(self.limit_evidence) < self.tol_noncompact:
+        if self.verdict == "NonCompact" and min(self.limit_evidence) < _TOL_NONCOMPACT:
             raise ValueError("NonCompact verdict requires evidence bounded away from 0")
         object.__setattr__(self, "limit_evidence", tuple(float(v) for v in self.limit_evidence))
         object.__setattr__(self, "phi_evidence", tuple(float(v) for v in self.phi_evidence))
@@ -121,8 +119,8 @@ class CompactnessVerdict:
             "endpoint": self.endpoint,
             "limit_evidence": list(self.limit_evidence),
             "phi_evidence": list(self.phi_evidence),
-            "tol_compact": self.tol_compact,
-            "tol_noncompact": self.tol_noncompact,
+            "tol_compact": _TOL_COMPACT,
+            "tol_noncompact": _TOL_NONCOMPACT,
         }
 
 
@@ -345,15 +343,20 @@ def lp_to_linf_norm(alpha: OrderFunction, p: float) -> NormReport:
 # decay is only exp(-sqrt(log(1/t))).
 _COMPACT_DEPTH = 360
 
+# trend-rule thresholds: Compact needs the deepest sample below the first,
+# NonCompact every sample at or above the second
+_TOL_COMPACT = 1e-6
+_TOL_NONCOMPACT = 0.01
+
 
 def classify_compactness(alpha: OrderFunction, endpoint: str = "zero") -> CompactnessVerdict:
     """Endpoint compactness dichotomy from the decay of t^alpha(t).
 
     Samples g_k = t_k^alpha(t_k) along t_k = 2^-k (endpoint zero) or
     g_k = u_k^alpha(1-u_k) along u_k = 2^-k (endpoint one), k = 1..360.
-    Compact requires the samples to fall below tol_compact and to be
+    Compact requires the samples to fall below _TOL_COMPACT and to be
     non-increasing over the deep half; NonCompact requires them to stay
-    above tol_noncompact with a flat tail.  Anything else, in particular an
+    above _TOL_NONCOMPACT with a flat tail.  Anything else, in particular an
     oscillating profile, is Indeterminate.
     """
     if endpoint not in ("zero", "one"):
@@ -367,11 +370,10 @@ def classify_compactness(alpha: OrderFunction, endpoint: str = "zero") -> Compac
 
     half = len(g) // 2
     tail = g[half:]
-    tol_compact, tol_noncompact = 1e-6, 0.01
     nonincreasing = bool(np.all(np.diff(tail) <= 1e-9 * (1.0 + tail[:-1])))
-    if g[-1] < tol_compact and nonincreasing:
+    if g[-1] < _TOL_COMPACT and nonincreasing:
         verdict = "Compact"
-    elif np.min(g) >= tol_noncompact and g[-1] >= 0.5 * g[half]:
+    elif np.min(g) >= _TOL_NONCOMPACT and g[-1] >= 0.5 * g[half]:
         verdict = "NonCompact"
     else:
         verdict = "Indeterminate"
@@ -380,8 +382,6 @@ def classify_compactness(alpha: OrderFunction, endpoint: str = "zero") -> Compac
         endpoint=endpoint,
         limit_evidence=tuple(float(x) for x in g),
         phi_evidence=tuple(float(x) for x in phi),
-        tol_compact=tol_compact,
-        tol_noncompact=tol_noncompact,
     )
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import atomic_write_text
 from .diagnostics import local_norm_bound
 from .orders import ExpOffset, LogPower, LogPowerOffset, OrderFunction, PowerOffset
 
@@ -174,9 +173,6 @@ class EntropyEstimate:
             pred = repr(self.predicted[i]) if self.predicted is not None else ""
             lines.append(f"{n},{lo},{repr(self.upper[i])},{pred}")
         return "\n".join(lines) + "\n"
-
-    def to_csv(self, path: str) -> None:
-        atomic_write_text(path, self.csv_text())
 
 
 # --------------------------------------------------------------------------

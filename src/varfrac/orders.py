@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._csvio import read_table
+from .core import GridFunction
 
 __all__ = [
     "OrderFunctionError",
@@ -206,9 +206,7 @@ class OrderFunction:
 
     def rescale(self, r: float) -> "OrderFunction":
         """The profile t -> alpha(r*t) on [0, 1], for r in (0, 1]."""
-        if not 0.0 < r <= 1.0:
-            raise OrderFunctionError(f"rescale factor must be in (0, 1], got {r}")
-        return Rescaled(self, float(r))
+        return Rescaled(self, r)
 
 
 @dataclass(frozen=True)
@@ -223,11 +221,6 @@ class Constant(OrderFunction):
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
         return np.full_like(t, self.value)
-
-    def rescale(self, r: float) -> "OrderFunction":
-        if not 0.0 < r <= 1.0:
-            raise OrderFunctionError(f"rescale factor must be in (0, 1], got {r}")
-        return self
 
 
 def _check_offset_params(alpha0: float, lam: float, gamma: float) -> None:
@@ -352,10 +345,13 @@ class LogPower(OrderFunction):
 class Tabulated(OrderFunction):
     """Profile interpolated from (node, value) samples.
 
-    ``interpolation`` is "step" (value at the left node on each cell) or
-    "linear".  The domain is [nodes[0], nodes[-1]].  Infima and suprema use
-    node values plus interpolated interval endpoints; there is no global
-    optimization, which is exact for piecewise-monotone data.
+    The samples are held as a ``GridFunction``, whose node checks,
+    interpolant and CSV reader the profile uses: ``interpolation`` is "step"
+    (value at the left node on each cell) or "linear".  The domain is
+    [nodes[0], nodes[-1]], inside [0, 1], and every value is positive.
+    Infima and suprema use node values plus interpolated interval endpoints;
+    there is no global optimization, which is exact for piecewise-monotone
+    data.
     """
 
     nodes: tuple[float, ...]
@@ -363,25 +359,17 @@ class Tabulated(OrderFunction):
     interpolation: str = "linear"
 
     def __post_init__(self):
-        nodes = tuple(float(x) for x in self.nodes)
-        values = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-        if len(nodes) < 2 or len(nodes) != len(values):
-            raise OrderFunctionError("need >= 2 nodes and matching values")
-        arr = np.asarray(nodes)
-        # both node checks are written so that a NaN node fails them
-        if not np.all(np.diff(arr) > 0.0):
-            raise OrderFunctionError("nodes must be strictly increasing")
-        if not (arr[0] >= 0.0 and arr[-1] <= 1.0):
+        try:
+            table = GridFunction(self.nodes, self.values, self.interpolation)
+        except ValueError as exc:
+            raise OrderFunctionError(str(exc)) from None
+        if not (table.nodes[0] >= 0.0 and table.nodes[-1] <= 1.0):
             raise OrderFunctionError("nodes must lie within [0, 1]")
-        vals = np.asarray(values)
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
+        if np.any(table.values <= 0.0):
             raise OrderFunctionError("values must all be finite and strictly positive")
-        if self.interpolation not in ("step", "linear"):
-            raise OrderFunctionError(
-                f"interpolation must be 'step' or 'linear', got {self.interpolation!r}"
-            )
+        object.__setattr__(self, "nodes", tuple(table.nodes.tolist()))
+        object.__setattr__(self, "values", tuple(table.values.tolist()))
+        object.__setattr__(self, "_table", table)
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -389,20 +377,14 @@ class Tabulated(OrderFunction):
 
     @property
     def nondecreasing(self) -> bool:
-        return bool(np.all(np.diff(np.asarray(self.values)) >= 0.0))
+        return bool(np.all(np.diff(self._table.values) >= 0.0))
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
         return self.nodes[1:-1]
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
-        nodes = np.asarray(self.nodes)
-        vals = np.asarray(self.values)
-        if self.interpolation == "linear":
-            return np.interp(t, nodes, vals)
-        idx = np.searchsorted(nodes, t, side="right") - 1
-        idx = np.clip(idx, 0, len(nodes) - 2)
-        return vals[idx]
+        return self._table(t)
 
     def _cell_range(self, a: float, b: float) -> np.ndarray:
         """Values attained on [a, b]: evaluated endpoints plus node values inside.
@@ -410,8 +392,7 @@ class Tabulated(OrderFunction):
         Exact for both interpolations: a step cell intersecting [a, b] either
         contains a (its value is eval(a)) or has its left node inside (a, b].
         """
-        nodes = np.asarray(self.nodes)
-        vals = np.asarray(self.values)
+        nodes, vals = self._table.nodes, self._table.values
         inner = vals[(nodes >= a) & (nodes <= b)]
         return np.concatenate(([self.eval(a), self.eval(b)], inner))
 
@@ -425,13 +406,13 @@ class Tabulated(OrderFunction):
 
     @classmethod
     def from_csv(cls, path) -> "Tabulated":
-        """Load linearly interpolated (t, alpha) samples from a two-column CSV;
-        a header row is optional."""
+        """Load (t, alpha) samples as GridFunction.from_csv reads them: a
+        `# interpretation=step` line makes a step profile, linear otherwise."""
         try:
-            table, _ = read_table(path, columns=2)
+            table = GridFunction.from_csv(path)
         except ValueError as exc:
             raise OrderFunctionError(str(exc)) from None
-        return cls(tuple(table[:, 0]), tuple(table[:, 1]))
+        return cls(table.nodes, table.values, table.interpretation)
 
 
 @dataclass(frozen=True)
@@ -467,6 +448,12 @@ class Shifted(OrderFunction):
         return self.inner.supremum(a, b) + self.offset
 
 
+def _checked_scale(r: float) -> float:
+    if not 0.0 < r <= 1.0:
+        raise OrderFunctionError(f"rescale factor must be in (0, 1], got {r}")
+    return float(r)
+
+
 @dataclass(frozen=True)
 class Rescaled(OrderFunction):
     """alpha(r * t): the profile seen by the scaling identity on [0, r]."""
@@ -475,8 +462,7 @@ class Rescaled(OrderFunction):
     scale: float
 
     def __post_init__(self):
-        if not 0.0 < self.scale <= 1.0:
-            raise OrderFunctionError(f"scale must be in (0, 1], got {self.scale}")
+        object.__setattr__(self, "scale", _checked_scale(self.scale))
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -503,7 +489,5 @@ class Rescaled(OrderFunction):
 
     def rescale(self, r: float) -> "OrderFunction":
         # flatten so rescale(rescale(a, r1), r2) is bit-identical to
-        # rescale(a, r1*r2)
-        if not 0.0 < r <= 1.0:
-            raise OrderFunctionError(f"rescale factor must be in (0, 1], got {r}")
-        return Rescaled(self.inner, self.scale * r)
+        # rescale(a, r1*r2); r is checked before the scales are multiplied
+        return Rescaled(self.inner, self.scale * _checked_scale(r))

@@ -53,7 +53,6 @@ __all__ = [
     "volumetric_entropy_lower",
     "diagonal_floor",
     "index_domination_report",
-    "spectrum_to_csv",
 ]
 
 # Outer rule on a unit piece, in local units of h.  The near columns use
@@ -72,6 +71,9 @@ _WEIGHTS = np.append(_GRADED[1], _PLAIN[1])
 #: block.  Its (pieces x cells x 8) temporaries take 1 KiB per cell; 16
 #: halves them against 32 and runs within 10% of it.
 _BLOCK = 16
+
+#: largest matrix whose dense singular spectrum the package computes
+_DENSE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -212,10 +214,15 @@ def assemble_matrix(
     return OperatorMatrix(n=n, r=r, p=p, q=q, entries=entries)
 
 
+def _check_dense_size(n: int) -> None:
+    """Raise ValueError when an n x n spectrum is past the dense cap."""
+    if n > _DENSE_CAP:
+        raise ValueError(f"dense spectrum capped at n = {_DENSE_CAP}")
+
+
 def singular_values(m: OperatorMatrix) -> np.ndarray:
     """Full singular spectrum of the assembled matrix, descending."""
-    if m.n > 4096:
-        raise ValueError("dense spectrum capped at n = 4096")
+    _check_dense_size(m.n)
     return np.linalg.svd(m.entries, compute_uv=False)
 
 
@@ -240,8 +247,8 @@ def approximation_numbers(
         n_disc = max(8 * n_max, 256)
     if n_disc < 8 * n_max:
         raise ValueError(f"need n_disc >= 8*n_max = {8 * n_max}, got {n_disc}")
-    if 2 * n_disc > 4096:
-        raise ValueError("n_disc capped at 2048 so the doubled check stays dense")
+    if 2 * n_disc > _DENSE_CAP:
+        raise ValueError(f"n_disc capped at {_DENSE_CAP // 2} so the doubled check stays dense")
     sv = singular_values(assemble_matrix(alpha, n_disc, r=r))[:n_max]
     sv2 = singular_values(assemble_matrix(alpha, 2 * n_disc, r=r))[:n_max]
     drift = float(np.max(np.abs(sv / sv2 - 1.0)))
@@ -351,8 +358,3 @@ def _spectrum_text(values) -> str:
     lines = ["k,sigma_k"]
     lines += [f"{k},{float(v)!r}" for k, v in enumerate(shown, start=1)]
     return "\n".join(lines) + "\n"
-
-
-def spectrum_to_csv(values, path: str) -> None:
-    """Write a singular spectrum as CSV with columns k, sigma_k (see _spectrum_text)."""
-    atomic_write_text(path, _spectrum_text(values))

@@ -19,7 +19,6 @@ from varfrac.core import (
     gamma,
     lp_norm,
     project_average,
-    rl_apply,
     rl_values,
 )
 from varfrac.diagnostics import (
@@ -260,7 +259,7 @@ def test_criterion_10_besov_projection():
         nodes = np.unique(np.concatenate(([0.0], inner, [1.0])))
         g = GridFunction(nodes, rng.uniform(0.0, 2.0, size=nodes.size), "step")
         g = g * (1.0 / lp_norm(g, 2.0))
-        f = rl_apply(Constant(0.5), g, targets)
+        f = GridFunction(targets, rl_values(Constant(0.5), g, targets))
         b = besov_norm(f, 2.0, 0.5, hs)
         worst_besov = max(worst_besov, b)
         if b > cap:

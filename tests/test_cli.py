@@ -158,6 +158,24 @@ class TestApply:
         _, rows = csv_rows(out)
         assert [float(v) for _, v in rows] == pytest.approx([0.25, 1.25], abs=1e-14)
 
+    def test_csv_step_order_follows_directive(self, tmp_path, capsys):
+        # alpha = 0.5 on [0, 0.5): R 1 at 0.25 is 0.25^0.5 / Gamma(1.5); the
+        # linear reading of the same rows has alpha(0.25) = 1 and gives 0.25
+        path = tmp_path / "alpha.csv"
+        path.write_text("# interpretation=step\nt,alpha\n0.0,0.5\n0.5,1.5\n1.0,1.5\n")
+        rc, out, _ = run(
+            capsys, "apply", "--alpha", f"csv:{path}", "--f", "one", "--targets", "0.25"
+        )
+        assert rc == EXIT_OK
+        assert csv_rows(out)[1] == [["0.25", "0.5641895835477563"]]
+
+    def test_csv_order_bad_directive_rejected(self, tmp_path, capsys):
+        path = tmp_path / "alpha.csv"
+        path.write_text("# interpretation=cubic\n0.0,0.5\n1.0,1.5\n")
+        rc, out, err = run(capsys, "apply", "--alpha", f"csv:{path}", "--targets", "0.25")
+        assert rc == EXIT_USAGE and out == ""
+        assert "cubic" in err
+
     def test_n_cells_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["apply", "--alpha", "ex1:0.5,1,2", "--f", "cos3", "--n-cells", "256"])
@@ -282,6 +300,39 @@ class TestSpectrum:
         rc, out, err = run(capsys, "spectrum", "--n", "8", *source)
         assert rc == EXIT_USAGE and out == ""
         assert "--alpha" in err and "--matrix" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--fit",), ("--n", "4"), ("--r", "0.5"), ("--p", "3"), ("--q", "1.5")],
+        ids=["fit", "n", "r", "p", "q"],
+    )
+    def test_matrix_rejects_unread_flags_before_reading(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the flags are checked before the file is read")
+
+        path = tmp_path / "m.csv"
+        path.write_text("1,0\n0,1\n")
+        monkeypatch.setattr(cli, "read_table", never)
+        rc, out, err = run(capsys, "spectrum", "--matrix", str(path), *flags)
+        assert rc == EXIT_USAGE and out == ""
+        assert flags[0] in err
+
+    @pytest.mark.parametrize("n", ["4097", "100000"])
+    def test_dense_cap_checked_before_assembly(self, capsys, monkeypatch, n):
+        def never(*args, **kwargs):
+            raise AssertionError("the size is checked before any assembly")
+
+        monkeypatch.setattr(cli, "assemble_matrix", never)
+        rc, out, err = run(capsys, "spectrum", "--alpha", "const:0.5", "--n", n)
+        assert rc == EXIT_USAGE and out == ""
+        assert "4096" in err
+
+    def test_zero_size_rejected(self, capsys):
+        rc, out, err = run(capsys, "spectrum", "--alpha", "const:0.5", "--n", "0")
+        assert rc == EXIT_USAGE and out == ""
+        assert "n >= 1" in err
 
     def test_matrix_echo(self, tmp_path, capsys):
         path = tmp_path / "m.csv"
@@ -474,6 +525,19 @@ class TestExitCodes:
             capsys, "diagnose", "--alpha", "const:1", "--check", "lptolinf", "--p", "0.5"
         )
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("diagnose", "--alpha", "const:0.5", "--check", "l1norm", "--p", "nan"),
+            ("verify", "--suite", "identities", "--n-cells", "16", "--p", "nan"),
+        ],
+        ids=["diagnose", "verify"],
+    )
+    def test_nan_exponent_rejected(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == EXIT_USAGE and out == ""
+        assert "p=nan" in err
 
     def test_negative_seed(self, capsys):
         rc, _, _ = run(

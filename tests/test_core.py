@@ -18,7 +18,6 @@ from varfrac.core import (
     maximal_values,
     project_average,
     q_values,
-    rl_apply,
     rl_values,
 )
 from varfrac.orders import (
@@ -126,12 +125,6 @@ class TestRlValues:
         t = np.linspace(0.0, 1.0, 257)
         got = rl_values(Constant(alpha), f, t)
         assert np.max(np.abs(got - closed_form_rl(alpha, k, t))) <= 1e-10
-
-    def test_rl_apply_wraps_values(self):
-        t = np.linspace(0.0, 1.0, 17)
-        g = rl_apply(Constant(1.0), ONE, t)
-        assert isinstance(g, GridFunction)
-        assert np.allclose(g.values, t, atol=1e-14)
 
     def test_rejects_targets_outside_interval(self):
         for targets in ([1.2], [0.5, math.nan]):

@@ -404,18 +404,14 @@ class TestBuildEstimate:
         low = formula_lower(alpha, choose_r(EX1, bound.index, "lower"), bound.index)
         assert low <= best_single and low <= bound.value
 
-    def test_csv_with_and_without_lower(self, tmp_path, ex1_desk):
-        full = tmp_path / "ex1.csv"
-        ex1_desk.to_csv(str(full))
-        lines = full.read_text().splitlines()
+    def test_csv_with_and_without_lower(self, ex1_desk):
+        lines = ex1_desk.csv_text().splitlines()
         assert lines[0] == "n,lower,upper,predicted"
         assert len(lines) == 1 + len(DESK_GRID)
         assert "" not in lines[1].split(",")
 
         est4 = build_example_estimate(EX4, [64, 128])
-        part = tmp_path / "ex4.csv"
-        est4.to_csv(str(part))
-        row = part.read_text().splitlines()[1].split(",")
+        row = est4.csv_text().splitlines()[1].split(",")
         assert row[1] == ""  # no lower column for the threshold family
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from varfrac.core import GridFunction
 from varfrac.orders import (
     Constant,
     ExpOffset,
@@ -225,9 +226,14 @@ class TestRescale:
         assert val == pytest.approx(0.5, abs=1e-15)
 
     def test_rejects_bad_factor(self):
-        for r in (0.0, 1.5, -1.0):
+        for r in (0.0, 1.5, -1.0, math.nan):
             with pytest.raises(OrderFunctionError):
                 Constant(0.5).rescale(r)
+
+    def test_rescaled_rejects_bad_factor_before_multiplying(self):
+        # 0.5 * 1.5 = 0.75 would be a valid scale
+        with pytest.raises(OrderFunctionError):
+            PowerOffset(0.5, 1.0, 2.0).rescale(0.5).rescale(1.5)
 
     @given(
         r1=st.floats(0.05, 1.0),
@@ -279,6 +285,20 @@ class TestTabulated:
         path = tmp_path / "alpha.csv"
         path.write_text("# order table\nt,alpha\n0,0.5\n# midpoint\n0.5,0.75\n1,0.6\n")
         assert Tabulated.from_csv(str(path)).nodes == (0.0, 0.5, 1.0)
+
+    def test_csv_reads_step_grid_function_file(self, tmp_path):
+        path = tmp_path / "alpha.csv"
+        GridFunction((0.0, 0.5, 1.0), (0.5, 1.5, 1.5), "step").to_csv(str(path))
+        a = Tabulated.from_csv(str(path))
+        assert a == Tabulated((0.0, 0.5, 1.0), (0.5, 1.5, 1.5), interpolation="step")
+        assert a.eval(0.25) == 0.5
+        assert a.eval(0.75) == 1.5
+
+    def test_csv_bad_directive_rejected(self, tmp_path):
+        path = tmp_path / "alpha.csv"
+        path.write_text("# interpretation=cubic\n0,0.5\n1,0.6\n")
+        with pytest.raises(OrderFunctionError, match="cubic"):
+            Tabulated.from_csv(str(path))
 
     def test_csv_bad_rows_name_the_line(self, tmp_path):
         path = tmp_path / "alpha.csv"

@@ -3,8 +3,8 @@
 import varfrac
 
 # the hand-written package export list that the module lists replaced, less
-# the removed QuadratureConfig, kernel_moment, kernel_moment_right and
-# family_order
+# the removed QuadratureConfig, kernel_moment, kernel_moment_right,
+# family_order, rl_apply, q_apply, maximal_function and spectrum_to_csv
 EARLIER_EXPORTS = {
     "ApproximationReport", "CompactnessVerdict", "Constant", "EntropyEstimate",
     "ExpOffset", "GAMMA_MIN_LOCATION", "GridFunction", "IteratedBound", "K0",
@@ -18,9 +18,9 @@ EARLIER_EXPORTS = {
     "divergence_trend", "example1_partition", "fit_rate",
     "formula_lower", "gamma", "index_domination_report", "iterated_upper",
     "l1_criterion_integral", "l1_operator_norm", "local_norm_bound", "lp_norm",
-    "lp_to_linf_norm", "maximal_function", "maximal_values", "predict_rate",
-    "project_average", "q_apply", "q_values", "rl_apply", "rl_values",
-    "singular_values", "spectrum_to_csv", "two_block_upper", "verify_scaling",
+    "lp_to_linf_norm", "maximal_values", "predict_rate",
+    "project_average", "q_values", "rl_values",
+    "singular_values", "two_block_upper", "verify_scaling",
     "verify_semigroup", "volumetric_entropy_lower", "witness_separation",
 }
 

@@ -27,8 +27,8 @@ from varfrac.spectral import (
     carl_entropy_upper,
     diagonal_floor,
     index_domination_report,
+    _spectrum_text,
     singular_values,
-    spectrum_to_csv,
     volumetric_entropy_lower,
 )
 
@@ -302,16 +302,12 @@ class TestSpectrum:
         exact = 2.0 / ((2.0 * k - 1.0) * math.pi)
         assert np.max(np.abs(sv[:20] / exact - 1.0)) <= 0.01
 
-    def test_spectrum_csv_format(self, tmp_path):
-        path = tmp_path / "s.csv"
-        spectrum_to_csv([0.5, 0.25], str(path))
-        assert path.read_text() == "k,sigma_k\n1,0.5\n2,0.25\n"
+    def test_spectrum_csv_format(self):
+        assert _spectrum_text([0.5, 0.25]) == "k,sigma_k\n1,0.5\n2,0.25\n"
 
-    def test_spectrum_csv_prints_sub_roundoff_values_as_zero(self, tmp_path):
+    def test_spectrum_csv_prints_sub_roundoff_values_as_zero(self):
         # floor = 3 * eps * 0.5: 1e-20 is below it, 1e-14 above
-        path = tmp_path / "s.csv"
-        spectrum_to_csv([0.5, 1e-14, 1e-20], str(path))
-        assert path.read_text() == "k,sigma_k\n1,0.5\n2,1e-14\n3,0.0\n"
+        assert _spectrum_text([0.5, 1e-14, 1e-20]) == "k,sigma_k\n1,0.5\n2,1e-14\n3,0.0\n"
 
 
 class TestApproximationNumbers:
