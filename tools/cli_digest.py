@@ -26,21 +26,43 @@ command in README.md; and a few inputs that the CLI must reject.
 The digests depend on the CPU's SIMD dispatch and on the BLAS build, so
 compare two source trees on one machine; a stored digest from another
 machine proves nothing.  This script is not part of the test suite.
+
+``--write-golden`` instead runs every command in this process, through
+``varfrac.cli.main``, and writes tests/golden.json: per command the exit
+code and, for stdout, stderr and any ``--output`` file, the text with each
+number cut out and the numbers as printed.  ``tests/test_golden.py``
+compares the CLI against that file at a stated tolerance, so it can run in
+the test suite on any machine.  ``--only COMMAND`` (repeatable) rewrites
+just those entries and keeps the rest of the file as it is:
+
+    python tools/cli_digest.py --write-golden
+    python tools/cli_digest.py --write-golden --only "spectrum --alpha ex4:0.5 --fit ..."
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
+import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden.json"
+
+# a number as the CLI prints it (repr of a float or int, JSON's Infinity and
+# NaN), not glued to a word or to another number
+NUMBER = re.compile(
+    r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan|Infinity|NaN)(?![\w.])"
+)
 
 # fixed relative names of the CSV inputs inside the working directory
 INPUTS = {
@@ -121,6 +143,77 @@ def all_commands() -> list[str]:
     return cmds + readme_commands() + list(REJECTED)
 
 
+def make_workdir(path: Path) -> Path:
+    """Create ``path`` holding the CSV inputs under their fixed names."""
+    path.mkdir(parents=True, exist_ok=True)
+    for name, text in INPUTS.items():
+        (path / name).write_text(text)
+    return path
+
+
+def split_numbers(text: str) -> dict:
+    """The text with every number replaced by ``#``, and the numbers as printed."""
+    return {"text": NUMBER.sub("#", text), "numbers": NUMBER.findall(text)}
+
+
+def run_in_process(command: str, workdir: Path) -> dict:
+    """Run one command through ``varfrac.cli.main`` in ``workdir``.
+
+    Returns the golden entry: the command, its exit code, and split_numbers
+    of stdout, stderr and, for a command with ``--output``, the file it
+    wrote (None when it wrote none).
+    """
+    from varfrac import cli
+
+    args = shlex.split(command)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:  # argparse rejects a command this way
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    entry = {
+        "command": command,
+        "exit": code,
+        "stdout": split_numbers(out.getvalue()),
+        "stderr": split_numbers(err.getvalue()),
+    }
+    if "--output" in args:
+        path = workdir / args[args.index("--output") + 1]
+        entry["file"] = split_numbers(path.read_text()) if path.exists() else None
+    return entry
+
+
+def write_golden(src: Path, only: list[str]) -> None:
+    """Write GOLDEN from the varfrac under ``src``; with ``only``, just those entries."""
+    sys.path.insert(0, str(src))
+    import varfrac
+
+    if Path(varfrac.__file__).resolve().parent != src / "varfrac":
+        raise SystemExit(f"imported varfrac from {varfrac.__file__}, not from {src}")
+    cmds = all_commands()
+    unknown = set(only) - set(cmds)
+    if unknown:
+        raise SystemExit(f"not in the command list: {sorted(unknown)}")
+    old = {}
+    if only:
+        old = {e["command"]: e for e in json.loads(GOLDEN.read_text())}
+    entries = []
+    with tempfile.TemporaryDirectory(prefix="cli-golden-") as tmp:
+        for i, cmd in enumerate(cmds):
+            if only and cmd not in only:
+                entries.append(old[cmd])
+            else:
+                entries.append(run_in_process(cmd, make_workdir(Path(tmp) / str(i))))
+    # one line per command, so a diff of the file names the commands that moved
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -147,20 +240,26 @@ def main(argv=None) -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding varfrac/")
+    parser.add_argument(
+        "--write-golden", action="store_true", help=f"write {GOLDEN.relative_to(ROOT)} instead"
+    )
+    parser.add_argument(
+        "--only", action="append", default=[], metavar="COMMAND",
+        help="with --write-golden: rewrite only this command's entry (repeatable)",
+    )
     args = parser.parse_args(argv)
     src = args.src.resolve()
     if not (src / "varfrac" / "__init__.py").is_file():
         parser.error(f"no varfrac package under {src}")
+    if args.only and not args.write_golden:
+        parser.error("--only needs --write-golden")
+    if args.write_golden:
+        write_golden(src, args.only)
+        return 0
     cmds = all_commands()
     with tempfile.TemporaryDirectory(prefix="cli-digest-") as tmp:
         # one working directory per command, so --output files cannot collide
-        dirs = []
-        for i in range(len(cmds)):
-            d = Path(tmp) / str(i)
-            d.mkdir()
-            for name, text in INPUTS.items():
-                (d / name).write_text(text)
-            dirs.append(d)
+        dirs = [make_workdir(Path(tmp) / str(i)) for i in range(len(cmds))]
         # each command is its own process, so two threads run two at once
         with ThreadPoolExecutor(2) as pool:
             lines = pool.map(lambda cd: digest(cd[0], src, cd[1]), zip(cmds, dirs))
