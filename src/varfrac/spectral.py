@@ -22,7 +22,10 @@ a constant order gives an exactly Toeplitz matrix (entry (i, j) depends on
 i - j alone, bit for bit).
 
 Singular values of this matrix are the approximation numbers of the
-discretized operator for p = q = 2; Carl's inequality converts
+discretized operator for p = q = 2.  approximation_numbers assembles only
+the 2n-cell matrix and sums its 2 x 2 blocks into the n-cell one, which is
+exact because each coarse cell is the union of two fine ones.  Carl's
+inequality converts
 approximation numbers into entropy upper bounds, and the volume comparison
 of mapped balls gives the matching lower bound.
 """
@@ -114,7 +117,8 @@ class OperatorMatrix:
 class ApproximationReport:
     """Approximation numbers with the discretization-doubling check attached.
 
-    values     a_1..a_n_max from the N_disc-cell discretization
+    values     a_1..a_n_max from the N_disc-cell discretization, the exact
+               2 x 2 coarsening of the 2*N_disc-cell matrix
     n_disc     cell count actually used
     drift      max relative change against the 2*N_disc discretization
     converged  drift < 1%; when False the values are still usable but coarse
@@ -235,11 +239,15 @@ def approximation_numbers(
     """Approximation numbers a_1..a_n_max of the operator on L2[0, r].
 
     For p = q = 2 the approximation numbers equal singular values, so they
-    are read off the n_disc-cell discretization.  The same spectrum is
-    recomputed at 2 * n_disc cells; the reported drift is the maximum
-    relative change over the returned range and must be below 1% for the
-    converged flag.  Other (p, q) pairs have no dense desk-scale route and
-    are served by the entropy-bound formulas instead.
+    are read off the n_disc-cell discretization.  Only the 2 * n_disc-cell
+    matrix is assembled.  Coarse cell I_i is the union of fine cells J_2i
+    and J_2i+1, so the n_disc-cell matrix is exactly half of each 2 x 2
+    block sum of the fine one (the prefactor ratio 2^(1/p - 1/q + 1) is 2
+    at p = q = 2).  The drift still compares the two discretizations: it is
+    the maximum relative change between their spectra over the returned
+    range, and must be below 1% for the converged flag.  Other (p, q) pairs
+    have no dense desk-scale route and are served by the entropy-bound
+    formulas instead.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
@@ -249,8 +257,11 @@ def approximation_numbers(
         raise ValueError(f"need n_disc >= 8*n_max = {8 * n_max}, got {n_disc}")
     if 2 * n_disc > _DENSE_CAP:
         raise ValueError(f"n_disc capped at {_DENSE_CAP // 2} so the doubled check stays dense")
-    sv = singular_values(assemble_matrix(alpha, n_disc, r=r))[:n_max]
-    sv2 = singular_values(assemble_matrix(alpha, 2 * n_disc, r=r))[:n_max]
+    fine = assemble_matrix(alpha, 2 * n_disc, r=r)
+    sv2 = singular_values(fine)[:n_max]
+    blocks = fine.entries.reshape(n_disc, 2, n_disc, 2).sum(axis=(1, 3))
+    coarse = OperatorMatrix(n=n_disc, r=r, p=2.0, q=2.0, entries=0.5 * blocks)
+    sv = singular_values(coarse)[:n_max]
     drift = float(np.max(np.abs(sv / sv2 - 1.0)))
     return ApproximationReport(values=sv, n_disc=n_disc, drift=drift, converged=drift < 0.01)
 

@@ -461,6 +461,47 @@ class TestVerify:
         assert payload["pass"] is True
         assert payload["semigroup"]["fine"] <= 0.75 * payload["semigroup"]["coarse"] + 1e-12
 
+    def test_identities_pass_at_discrepancy_floor(self, capsys, monkeypatch):
+        # the --n-cells 100000 discrepancies of const:0.5: both at the floor,
+        # though the finer is 0.88 of the coarser
+        floor = {100000: 3.8317877759652674e-09, 200000: 3.357891131816615e-09}
+        monkeypatch.setattr(cli, "verify_semigroup", lambda a, b, f, n: floor[n])
+        monkeypatch.setattr(cli, "verify_scaling", lambda *args: 2.220446049250313e-16)
+        rc, out, _ = run(
+            capsys, "verify", "--suite", "identities", "--alpha", "const:0.5",
+            "--n-cells", "100000",
+        )
+        assert rc == EXIT_OK
+        payload = json.loads(out)
+        assert payload["semigroup"]["pass"] is True and payload["pass"] is True
+
+    @pytest.mark.parametrize(
+        "coarse, fine, verdict",
+        [
+            (1e-4, 0.75e-4, True),  # contracts
+            (1e-4, 0.9e-4, False),  # does not contract, above the floor
+            (3.8e-9, 3.4e-9, True),  # both at the floor
+            (1e-8, 1e-8, True),
+            (2e-8, 1.9e-8, False),  # both above the floor
+            (2e-8, 9e-9, True),  # contracts
+            (9e-9, 2e-8, False),  # the finer is above the floor
+            (1.0, 0.06, False),  # contracts, past the absolute cap
+        ],
+    )
+    def test_identity_verdict(self, coarse, fine, verdict):
+        assert cli._identity_pass(coarse, fine) is verdict
+
+    @pytest.mark.parametrize("n", [str(cli.MAX_N_CELLS + 1), "100000000"])
+    def test_identities_n_cells_cap_checked_before_work(self, capsys, monkeypatch, n):
+        def never(*args, **kwargs):
+            raise AssertionError("the cell count is checked before any work")
+
+        monkeypatch.setattr(cli, "verify_semigroup", never)
+        monkeypatch.setattr(cli, "verify_scaling", never)
+        rc, out, err = run(capsys, "verify", "--suite", "identities", "--n-cells", n)
+        assert rc == EXIT_USAGE and out == ""
+        assert str(cli.MAX_N_CELLS) in err and "--n-cells" in err
+
     def test_identities_reject_single_cell(self, capsys):
         rc, out, err = run(
             capsys, "verify", "--suite", "identities", "--alpha", "const:0.5",

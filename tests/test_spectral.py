@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import varfrac.spectral as spectral
 from varfrac.core import K0, gamma
 from varfrac.orders import (
     Constant,
@@ -30,6 +31,14 @@ from varfrac.spectral import (
     _spectrum_text,
     singular_values,
     volumetric_entropy_lower,
+)
+
+
+# the orders test_matches_row_closure_property draws
+CLOSURE_ORDERS = st.one_of(
+    st.floats(0.05, 3.0).map(Constant),
+    st.builds(PowerOffset, st.floats(0.05, 1.5), st.floats(0.05, 1.5), st.floats(0.1, 3.0)),
+    st.builds(ExpOffset, st.floats(0.05, 1.5), st.floats(0.05, 1.5), st.floats(0.25, 3.0)),
 )
 
 
@@ -87,11 +96,11 @@ def reference_row(alpha, n: int, i: int, points: int = 8, r=1.0, p=2.0, q=2.0):
     return row
 
 
-def reference_entries(alpha, n: int):
+def reference_entries(alpha, n: int, points: int = 8):
     """reference_row for every row: the slow reference matrix."""
     out = np.zeros((n, n))
     for i in range(n):
-        out[i, : i + 1] = reference_row(alpha, n, i)
+        out[i, : i + 1] = reference_row(alpha, n, i, points)
     return out
 
 
@@ -197,14 +206,7 @@ class TestAssembly:
         got = assemble_matrix(alpha, n).entries
         assert max_relative_error(got, closure_entries(alpha, n), rows) <= 1e-12
 
-    @given(
-        alpha=st.one_of(
-            st.floats(0.05, 3.0).map(Constant),
-            st.builds(PowerOffset, st.floats(0.05, 1.5), st.floats(0.05, 1.5), st.floats(0.1, 3.0)),
-            st.builds(ExpOffset, st.floats(0.05, 1.5), st.floats(0.05, 1.5), st.floats(0.25, 3.0)),
-        ),
-        n=st.integers(1, 96),
-    )
+    @given(alpha=CLOSURE_ORDERS, n=st.integers(1, 96))
     @settings(max_examples=40, deadline=None)
     def test_matches_row_closure_property(self, alpha, n):
         got = assemble_matrix(alpha, n).entries
@@ -334,6 +336,95 @@ class TestApproximationNumbers:
             approximation_numbers(Constant(1.0), 64, n_disc=128)
         with pytest.raises(ValueError):
             approximation_numbers(Constant(1.0), 8, n_disc=3000)
+
+
+def coarse_svd_input(monkeypatch, alpha, n_disc) -> np.ndarray:
+    """The n_disc-cell matrix approximation_numbers hands to singular_values.
+
+    The SVDs are skipped: the patched singular_values records each matrix
+    and returns a flat spectrum.
+    """
+    seen = []
+
+    def record(m):
+        seen.append(m)
+        return np.ones(m.n)
+
+    monkeypatch.setattr(spectral, "singular_values", record)
+    approximation_numbers(alpha, 1, n_disc)
+    assert [m.n for m in seen] == [2 * n_disc, n_disc]
+    return seen[1].entries
+
+
+# orders with breakpoints inside the cells: a Tabulated profile on [0, 1]
+# with one to four inner nodes, linear or step
+TABULATED_ORDERS = st.builds(
+    lambda inner, values, interpolation: Tabulated(
+        (0.0, *sorted(inner), 1.0), tuple(values[: len(inner) + 2]), interpolation
+    ),
+    st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4, unique=True),
+    st.lists(st.floats(0.2, 2.5), min_size=6, max_size=6),
+    st.sampled_from(["linear", "step"]),
+)
+
+
+class TestBlockCoarsening:
+    def test_assembles_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return assemble_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "assemble_matrix", counted)
+        approximation_numbers(PowerOffset(0.5, 1.0, 1.0), 4, 64)
+        assert calls == [128]
+
+    @pytest.mark.parametrize("value", [0.05, 0.7, 1.0, 2.5])
+    @pytest.mark.parametrize("n", [8, 65])
+    def test_constant_order_coarse_matrix_is_exactly_toeplitz(self, monkeypatch, value, n):
+        e = coarse_svd_input(monkeypatch, Constant(value), n)
+        for k in range(n):
+            band = np.diag(e, -k)
+            assert np.all(band == band[0]), f"subdiagonal {k}"
+        assert np.all(np.triu(e, 1) == 0.0)
+
+    @pytest.mark.parametrize("value", [0.3, 0.7, 1.0, 1.4, 2.5])
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_constant_order_coarse_matrix_matches_closed_form(self, monkeypatch, value, n):
+        got = coarse_svd_input(monkeypatch, Constant(value), n)
+        col = constant_order_column(value, n)
+        want = np.tril(col[np.subtract.outer(np.arange(n), np.arange(n)) % n])
+        assert max_relative_error(got, want) <= 1e-12
+
+    @given(
+        alpha=st.one_of(
+            CLOSURE_ORDERS,
+            st.builds(
+                LogPowerOffset, st.floats(0.05, 1.5), st.floats(0.05, 1.5), st.floats(0.1, 3.0)
+            ),
+            st.just(ReciprocalLog()),
+            TABULATED_ORDERS,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_values_match_direct_assembly(self, alpha, data):
+        n_disc = data.draw(st.integers(8, 96), label="n_disc")
+        n_max = data.draw(st.integers(1, n_disc // 8), label="n_max")
+        got = approximation_numbers(alpha, n_max, n_disc).values
+        want = singular_values(assemble_matrix(alpha, n_disc))[:n_max]
+        if np.max(np.abs(got / want - 1.0)) <= 1e-12:
+            return
+        # they differ where the direct n_disc-cell assembly loses digits:
+        # orders near 0.05 at the kernel corner, and orders that rise
+        # steeply inside a wide cell.  The coarsened matrix must then be the
+        # closer of the two to the 64-point reference matrix.
+        with pytest.MonkeyPatch.context() as mp:
+            coarse = coarse_svd_input(mp, alpha, n_disc)
+        ref = reference_entries(alpha, n_disc, points=64)
+        direct = assemble_matrix(alpha, n_disc).entries
+        assert max_relative_error(coarse, ref) < max_relative_error(direct, ref)
 
 
 class TestCarl:
