@@ -171,10 +171,7 @@ def run_in_process(command: str, workdir: Path) -> dict:
     os.chdir(workdir)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = cli.main(args)
-            except SystemExit as exc:  # argparse rejects a command this way
-                code = exc.code
+            code = cli.main(args)
     finally:
         os.chdir(cwd)
     entry = {
