@@ -54,7 +54,6 @@ __all__ = [
     "ball_volume_root",
     "volumetric_entropy_lower",
     "diagonal_floor",
-    "index_domination_report",
 ]
 
 # Outer rule on a unit piece, in local units of h.  The near columns use
@@ -338,26 +337,6 @@ def diagonal_floor(alpha: OrderFunction, n: int, r: float, p: float, q: float) -
     a1 = alpha.supremum(0.0, r)
     c1 = max(1.0, gamma(a1 + 1.0))
     return (n / r) ** (1.0 / p - 1.0 / q + 1.0) / c1 * (r / (2.0 * n)) ** (a1 + 1.0)
-
-
-def index_domination_report(sv_smooth, sv_rough) -> dict:
-    """Soft check that more smoothing gives index-wise smaller singular values.
-
-    Returns the number of indices where sv_smooth exceeds 1.01 * sv_rough
-    and the worst relative excess.  Reported, not asserted: the
-    underlying monotonicity is expected at desk scale but is not a theorem.
-    """
-    a = np.asarray(sv_smooth, dtype=float)
-    b = np.asarray(sv_rough, dtype=float)
-    k = min(a.size, b.size)
-    a, b = a[:k], b[:k]
-    excess = a / b - 1.0
-    violated = excess > 0.01
-    return {
-        "checked": int(k),
-        "violations": int(np.count_nonzero(violated)),
-        "worst_excess": float(np.max(excess)) if k else 0.0,
-    }
 
 
 def _spectrum_text(values) -> str:

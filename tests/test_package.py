@@ -4,7 +4,8 @@ import varfrac
 
 # the hand-written package export list that the module lists replaced, less
 # the removed QuadratureConfig, kernel_moment, kernel_moment_right,
-# family_order, rl_apply, q_apply, maximal_function and spectrum_to_csv
+# family_order, rl_apply, q_apply, maximal_function, spectrum_to_csv and
+# index_domination_report
 EARLIER_EXPORTS = {
     "ApproximationReport", "CompactnessVerdict", "Constant", "EntropyEstimate",
     "ExpOffset", "GAMMA_MIN_LOCATION", "GridFunction", "IteratedBound", "K0",
@@ -16,7 +17,7 @@ EARLIER_EXPORTS = {
     "besov_norm", "build_example_estimate", "carl_constant",
     "carl_entropy_upper", "choose_r", "classify_compactness", "diagonal_floor",
     "divergence_trend", "example1_partition", "fit_rate",
-    "formula_lower", "gamma", "index_domination_report", "iterated_upper",
+    "formula_lower", "gamma", "iterated_upper",
     "l1_criterion_integral", "l1_operator_norm", "local_norm_bound", "lp_norm",
     "lp_to_linf_norm", "maximal_values", "predict_rate",
     "project_average", "q_values", "rl_values",

@@ -27,7 +27,6 @@ from varfrac.spectral import (
     carl_constant,
     carl_entropy_upper,
     diagonal_floor,
-    index_domination_report,
     _spectrum_text,
     singular_values,
     volumetric_entropy_lower,
@@ -513,11 +512,3 @@ class TestBracket:
             carl = carl_entropy_upper(singular_values(m), aexp)
             vol = volumetric_entropy_lower(m)
             assert vol.value <= carl[-1]
-
-    def test_smoother_order_dominated_indexwise(self):
-        sv_smooth = singular_values(assemble_matrix(Constant(1.4), 128))
-        sv_rough = singular_values(assemble_matrix(Constant(0.6), 128))
-        report = index_domination_report(sv_smooth, sv_rough)
-        assert report["checked"] == 128
-        assert report["violations"] == 0
-        assert report["worst_excess"] < 0.0
