@@ -134,7 +134,7 @@ def gamma(x):
     few ulp of math.gamma, and bit-equal where numpy's exp and pow round as
     the C library does.  Arguments past the double range (above
     171.624...) give inf.  Each rarely needed branch runs only when the
-    least or greatest argument calls for it.
+    greatest (or least) argument calls for it.
     """
     arr = np.asarray(x, dtype=float)
     if not arr.size:
@@ -154,8 +154,6 @@ def gamma(x):
         x = np.where(tiny, 1.0, x)
     if hi < 5.0:
         r = _lanczos_sum(x, False)
-    elif lo >= 5.0:
-        r = _lanczos_sum(x, True)
     else:
         large = ~(x < 5.0)
         r = np.empty(x.size)
@@ -167,9 +165,6 @@ def gamma(x):
     if hi <= gmh:
         z = y - gmh
         z -= x
-    elif lo > gmh:
-        z = y - x
-        z -= gmh
     else:
         z = np.where(x > gmh, (y - x) - gmh, (y - gmh) - x)
     z *= _LANCZOS_G
