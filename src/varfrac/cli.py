@@ -72,6 +72,11 @@ VERIFY_SUITES = ("identities", "witness", "maxbound")
 #: 2-vCPU machine), and past 2^16 cells the discrepancies no longer shrink.
 MAX_N_CELLS = 2**17
 
+#: largest power of two an --n-grid index may reach: the entropy bounds take
+#: each index to a float power, and from just below 2^1024 on an index no
+#: longer converts to a float
+_NGRID_MAX_POWER = 1023
+
 #: discrepancy floor of the identities suite.  From 2^16 to 2^18 cells the
 #: semigroup discrepancy of every cli_digest order stays between 1.2e-9 and
 #: 3.6e-9 without contracting, and the scaling one stays at 2.2e-16 or
@@ -140,12 +145,16 @@ def parse_ngrid(spec: str) -> list[int]:
         if not (lo.startswith("2^") and hi.startswith("2^")):
             raise ValueError(f"range grid must look like 2^6..2^20, got {spec!r}")
         a, b = int(lo[2:]), int(hi[2:])
-        if not (0 < a <= b):
-            raise ValueError(f"bad power range in {spec!r}")
+        if not (0 < a <= b <= _NGRID_MAX_POWER):
+            raise ValueError(
+                f"bad power range in {spec!r}: need 0 < a <= b <= {_NGRID_MAX_POWER}"
+            )
         return [2**k for k in range(a, b + 1)]
     grid = [int(x) for x in spec.split(",")]
     if not grid or any(n < 3 for n in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("explicit grid must be increasing integers >= 3")
+    if grid[-1] > 2**_NGRID_MAX_POWER:
+        raise ValueError(f"grid indices must be at most 2^{_NGRID_MAX_POWER}")
     return grid
 
 

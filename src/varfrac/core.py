@@ -506,7 +506,7 @@ def _window_mass(g: GridFunction, t, r):
 def maximal_values(f: GridFunction, targets) -> np.ndarray:
     """Hardy-Littlewood maximal function sup_{r>0} (1/2r) int_{t-r}^{t+r} |f|.
 
-    |f| is extended by zero outside its domain.  The supremum is taken over
+    |f| is extended by zero outside its domain.  The sup is taken over
     the exact critical radii: every radius at which a window endpoint crosses
     a node, the stationary radii of the per-piece quadratic window mass, and
     the r -> 0 limit (the mean of the one-sided limits of |f|).  This is
@@ -553,7 +553,7 @@ def maximal_values(f: GridFunction, targets) -> np.ndarray:
 def besov_norm(f: GridFunction, p, smoothness: float, h_grid) -> float:
     """||f||_p + sup_h h^(-smoothness) ||f(.+h) - f(.)||_{L_p[0, 1-h]}.
 
-    The supremum runs over the finite h_grid only, so the result is a lower
+    The sup runs over the finite h_grid only, so the result is a lower
     estimate of the Besov norm; acceptance-style checks must use it on the
     <= side of inequalities.  First differences are formed exactly from the
     interpolant.

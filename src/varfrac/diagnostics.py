@@ -248,7 +248,7 @@ def _l1_inner_integral(alpha: OrderFunction, s: float) -> float:
 def l1_operator_norm(alpha: OrderFunction) -> NormReport:
     """Operator norm on L1: sup over s of int_s^1 (t-s)^(alpha(t)-1)/Gamma dt.
 
-    The supremum is taken over a 19-point sweep of [0.05, 0.95] augmented
+    The sup is taken over a 19-point sweep of [0.05, 0.95] augmented
     with the doubling refinement schedule toward s = 0, which is where the
     inner integral can blow up.  The evidence pairs are the refinement-probe
     values, deepest probe last.
@@ -273,7 +273,7 @@ def lp_to_linf_norm(alpha: OrderFunction, p: float) -> NormReport:
     """Norm of the operator from Lp into L-infinity, p > 1.
 
     Evaluates (1/q)^(1/q) * sup_t t^(alpha(t)-1/p) / (Gamma(alpha(t)) *
-    (alpha(t)-1/p)^(1/q)) with q the conjugate exponent.  The supremum is
+    (alpha(t)-1/p)^(1/q)) with q the conjugate exponent.  The sup is
     probed on grids refining toward 0 on the doubling schedule.  If alpha
     falls to 1/p or below at a probe bounded away from 0 the expression is
     undefined there and the operator is not bounded; the report is divergent
@@ -281,7 +281,7 @@ def lp_to_linf_norm(alpha: OrderFunction, p: float) -> NormReport:
     to 0 toward 0, either the probed suprema grow without bound and the
     trend test flags it, or the margin underflows to 0 at a deep probe,
     which for a margin positive on the coarse range already certifies an
-    unbounded supremum at the crossing.
+    unbounded sup at the crossing.
     """
     if not (p > 1.0 and math.isfinite(p)):
         raise ValueError(f"need 1 < p < inf, got {p}")
@@ -513,7 +513,7 @@ def local_norm_bound(
     route with constant 1; vanishes with r exactly when the embedding at 0
     is compact.  Endpoint one: max of sup over 0 < t <= r of
     (2t)^(alpha(1-t)/2) and r^(1/(2p)), which needs the source exponent p.
-    The supremum is scanned on a geometric grid reaching t = r * 2^-200.
+    The sup is scanned on a geometric grid reaching t = r * 2^-200.
     """
     if endpoint not in ("zero", "one"):
         raise ValueError(f"unknown endpoint {endpoint!r}")

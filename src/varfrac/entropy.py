@@ -7,7 +7,7 @@ exponents, ratios, and orderings, never absolute levels.  Upper bounds come
 in two constructions: a single cut at radius r (two blocks), and an iterated
 partition 0 = r_0 < r_1 < ... < r_m = 1 whose blocks each receive an
 approximation budget.  The lower bound is the volume-comparison shape
-n^-a1 r^(a1 + 1/q - 1/p) with a1 the supremum of the order on [0, r].
+n^-a1 r^(a1 + 1/q - 1/p) with a1 = sup of the order on [0, r].
 
 The four worked families are the order classes in FAMILIES, and the family
 functions take the order instance itself.  Each family prescribes its own
@@ -270,12 +270,18 @@ def formula_lower(
     p: float = 2.0,
     q: float = 2.0,
 ) -> float:
-    """Volume-route lower-bound shape: n^-a1 r^(a1 + 1/q - 1/p), a1 = sup on [0, r]."""
+    """Volume-route lower-bound shape: n^-a1 r^(a1 + 1/q - 1/p), a1 = sup on [0, r].
+
+    The order must be non-decreasing, as the worked families are, so a1 is
+    alpha(r).
+    """
     if not (0.0 < r <= 1.0):
         raise ValueError(f"need 0 < r <= 1, got {r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    a1 = alpha.supremum(0.0, r)
+    if not alpha.nondecreasing:
+        raise ValueError("the formula lower bound needs a non-decreasing order")
+    a1 = float(alpha.eval(r))
     return n ** (-a1) * r ** (a1 + 1.0 / q - 1.0 / p)
 
 

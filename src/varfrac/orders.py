@@ -4,10 +4,9 @@ The exponent profile of the variable-order fractional integral is a
 measurable function alpha: [0,1] -> (0, infty).  This module provides the
 parametric families used throughout the package (constant, power offset,
 log-power offset, exponential offset, reciprocal-log, log-power, tabulated)
-together with the queries the analysis needs: pointwise evaluation, infima
-and suprema over subintervals, infima over dyadic cells, the weight
-phi(t) = alpha(t)*|ln t|, a doubling-regularity check, and rescaling
-t -> alpha(r*t).
+together with what the operators need of a profile: pointwise evaluation,
+its domain, whether it is non-decreasing, the breakpoints where its formula
+changes piece, and rescaling t -> alpha(r*t).
 
 Conventions
 -----------
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +40,6 @@ __all__ = [
     "Tabulated",
     "Shifted",
     "Rescaled",
-    "RegularityReport",
 ]
 
 _E_INV = math.exp(-1.0)
@@ -53,23 +50,6 @@ _EDGE_TOL = 1e-12
 
 class OrderFunctionError(ValueError):
     """An order profile was constructed or queried outside its contract."""
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Outcome of the doubling-regularity check c1*alpha(s) <= alpha(t) <= c2*alpha(s).
-
-    ``worst_pair`` is the probe pair (s, t), s <= t <= min(2s, 1), whose
-    ratio alpha(t)/alpha(s) comes closest to (or furthest past) the allowed
-    band [c1, c2]; ``worst_ratio`` is that ratio.
-    """
-
-    ok: bool
-    c1: float
-    c2: float
-    worst_ratio: float
-    worst_pair: tuple[float, float]
-    n_pairs: int
 
 
 class OrderFunction:
@@ -114,95 +94,6 @@ class OrderFunction:
         return out.reshape(arr.shape)
 
     __call__ = eval
-
-    def infimum(self, a: float, b: float) -> float:
-        """Exact infimum of alpha over [a, b] (endpoint value for monotone families)."""
-        self._check_interval(a, b)
-        if self.nondecreasing:
-            return self.eval(a)
-        raise NotImplementedError(
-            "infimum for non-monotone profiles is only provided by Tabulated"
-        )
-
-    def supremum(self, a: float, b: float) -> float:
-        """Exact supremum of alpha over [a, b]."""
-        self._check_interval(a, b)
-        if self.nondecreasing:
-            return self.eval(b)
-        raise NotImplementedError(
-            "supremum for non-monotone profiles is only provided by Tabulated"
-        )
-
-    def _check_interval(self, a: float, b: float) -> None:
-        if not a < b:
-            raise OrderFunctionError(f"empty interval [{a}, {b}]")
-        lo, hi = self.domain
-        if a < lo - _EDGE_TOL or b > hi + _EDGE_TOL:
-            raise OrderFunctionError(
-                f"interval [{a}, {b}] not inside domain [{lo}, {hi}]"
-            )
-
-    def dyadic_infima(self, n_max: int) -> np.ndarray:
-        """Infima a_n over the dyadic cells I_n = [2^-(n+1), 2^-n], n = 0..n_max."""
-        if n_max < 0:
-            raise OrderFunctionError("n_max must be >= 0")
-        return np.array(
-            [self.infimum(2.0 ** -(n + 1), 2.0**-n) for n in range(n_max + 1)]
-        )
-
-    def phi(self, t):
-        """The weight phi(t) = alpha(t) * |ln t| for t in (0, 1)."""
-        arr = np.asarray(t, dtype=float)
-        if arr.size and (np.min(arr) <= 0.0 or np.max(arr) >= 1.0):
-            raise OrderFunctionError("phi requires 0 < t < 1")
-        out = self.eval(arr) * np.abs(np.log(arr))
-        if arr.ndim == 0:
-            return float(out)
-        return out
-
-    def check_regularity(
-        self, c1: float, c2: float, probe_grid: Sequence[float]
-    ) -> RegularityReport:
-        """Check c1*alpha(s) <= alpha(t) <= c2*alpha(s) on probe pairs s <= t <= min(2s, 1).
-
-        Grid-based, not symbolic: a True result certifies the inequality on
-        the probes only.
-        """
-        if not (0.0 < c1 <= 1.0 <= c2):
-            raise OrderFunctionError("need 0 < c1 <= 1 <= c2")
-        grid = np.unique(np.asarray(probe_grid, dtype=float))
-        if grid.size == 0:
-            raise OrderFunctionError("empty probe grid")
-        if grid[0] <= 0.0 or grid[-1] > 1.0 + _EDGE_TOL:
-            raise OrderFunctionError("probe grid must lie inside (0, 1]")
-        vals = self.eval(grid)
-        worst_excess = -np.inf
-        worst_ratio = 1.0
-        worst_pair = (float(grid[0]), float(grid[0]))
-        n_pairs = 0
-        for i, s in enumerate(grid):
-            hi = min(2.0 * s, 1.0)
-            j = np.searchsorted(grid, hi, side="right")
-            ts = grid[i:j]
-            if ts.size == 0:
-                continue
-            ratios = vals[i:j] / vals[i]
-            n_pairs += ts.size
-            # excess > 1 means the band [c1, c2] is violated
-            excess = np.maximum(ratios / c2, c1 / ratios)
-            k = int(np.argmax(excess))
-            if excess[k] > worst_excess:
-                worst_excess = float(excess[k])
-                worst_ratio = float(ratios[k])
-                worst_pair = (float(s), float(ts[k]))
-        return RegularityReport(
-            ok=bool(worst_excess <= 1.0),
-            c1=float(c1),
-            c2=float(c2),
-            worst_ratio=worst_ratio,
-            worst_pair=worst_pair,
-            n_pairs=n_pairs,
-        )
 
     def rescale(self, r: float) -> "OrderFunction":
         """The profile t -> alpha(r*t) on [0, 1], for r in (0, 1]."""
@@ -307,17 +198,6 @@ class ReciprocalLog(OrderFunction):
             out[small] = 1.0 / np.abs(np.log(t[small]))
         return out
 
-    def phi(self, t):
-        # alpha(t)*|ln t| = 1 holds as an algebraic identity on (0, e^-1];
-        # return it exactly instead of multiplying 1/|ln t| back by |ln t|.
-        arr = np.asarray(t, dtype=float)
-        if arr.size and (np.min(arr) <= 0.0 or np.max(arr) >= 1.0):
-            raise OrderFunctionError("phi requires 0 < t < 1")
-        out = np.where(arr <= _E_INV, 1.0, np.abs(np.log(arr)))
-        if arr.ndim == 0:
-            return float(out)
-        return out
-
 
 @dataclass(frozen=True)
 class LogPower(OrderFunction):
@@ -349,9 +229,6 @@ class Tabulated(OrderFunction):
     interpolant and CSV reader the profile uses: ``interpolation`` is "step"
     (value at the left node on each cell) or "linear".  The domain is
     [nodes[0], nodes[-1]], inside [0, 1], and every value is positive.
-    Infima and suprema use node values plus interpolated interval endpoints;
-    there is no global optimization, which is exact for piecewise-monotone
-    data.
     """
 
     nodes: tuple[float, ...]
@@ -385,24 +262,6 @@ class Tabulated(OrderFunction):
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
         return self._table(t)
-
-    def _cell_range(self, a: float, b: float) -> np.ndarray:
-        """Values attained on [a, b]: evaluated endpoints plus node values inside.
-
-        Exact for both interpolations: a step cell intersecting [a, b] either
-        contains a (its value is eval(a)) or has its left node inside (a, b].
-        """
-        nodes, vals = self._table.nodes, self._table.values
-        inner = vals[(nodes >= a) & (nodes <= b)]
-        return np.concatenate(([self.eval(a), self.eval(b)], inner))
-
-    def infimum(self, a: float, b: float) -> float:
-        self._check_interval(a, b)
-        return float(np.min(self._cell_range(a, b)))
-
-    def supremum(self, a: float, b: float) -> float:
-        self._check_interval(a, b)
-        return float(np.max(self._cell_range(a, b)))
 
     @classmethod
     def from_csv(cls, path) -> "Tabulated":
@@ -441,12 +300,6 @@ class Shifted(OrderFunction):
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
         return np.asarray(self.inner.eval(t)) + self.offset
 
-    def infimum(self, a: float, b: float) -> float:
-        return self.inner.infimum(a, b) + self.offset
-
-    def supremum(self, a: float, b: float) -> float:
-        return self.inner.supremum(a, b) + self.offset
-
 
 def _checked_scale(r: float) -> float:
     if not 0.0 < r <= 1.0:
@@ -480,12 +333,6 @@ class Rescaled(OrderFunction):
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
         return np.asarray(self.inner.eval(self.scale * t))
-
-    def infimum(self, a: float, b: float) -> float:
-        return self.inner.infimum(self.scale * a, self.scale * b)
-
-    def supremum(self, a: float, b: float) -> float:
-        return self.inner.supremum(self.scale * a, self.scale * b)
 
     def rescale(self, r: float) -> "OrderFunction":
         # flatten so rescale(rescale(a, r1), r2) is bit-identical to

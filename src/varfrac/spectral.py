@@ -1,4 +1,4 @@
-"""Discretized operator matrices, singular values, and entropy conversions.
+"""Discretized operator matrices, singular values, and the volumetric entropy bound.
 
 The operator is discretized against normalized indicators on n equal cells
 of [0, r], giving the lower-triangular matrix
@@ -24,9 +24,9 @@ i - j alone, bit for bit).
 Singular values of this matrix are the approximation numbers of the
 discretized operator for p = q = 2.  approximation_numbers assembles only
 the 2n-cell matrix and sums its 2 x 2 blocks into the n-cell one, which is
-exact because each coarse cell is the union of two fine ones.  Carl's
-inequality converts approximation numbers into entropy upper bounds, and the
-volume comparison of mapped balls gives the matching lower bound.
+exact because each coarse cell is the union of two fine ones.  The volume
+comparison of mapped balls gives a lower bound on the entropy numbers from
+the matrix diagonal.
 """
 
 from __future__ import annotations
@@ -49,11 +49,8 @@ __all__ = [
     "assemble_matrix",
     "singular_values",
     "approximation_numbers",
-    "carl_constant",
-    "carl_entropy_upper",
     "ball_volume_root",
     "volumetric_entropy_lower",
-    "diagonal_floor",
 ]
 
 # Outer rule on a unit piece, in local units of h.  The near columns use
@@ -269,26 +266,6 @@ def approximation_numbers(
     return ApproximationReport(values=sv, n_disc=n_disc, drift=drift, converged=drift < 0.01)
 
 
-def carl_constant(alpha_exp: float) -> float:
-    """Constant in the approximation-to-entropy conversion: 2^7 (32(2+a))^a."""
-    if not (alpha_exp > 0.0 and math.isfinite(alpha_exp)):
-        raise ValueError(f"need a positive finite exponent, got {alpha_exp}")
-    return 2.0**7 * (32.0 * (2.0 + alpha_exp)) ** alpha_exp
-
-
-def carl_entropy_upper(a_seq, alpha_exp: float) -> np.ndarray:
-    """Entropy upper bounds C_a n^-a max_{k<=n} k^a a_k from approximation numbers."""
-    a = np.asarray(a_seq, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("need a one-dimensional nonempty sequence")
-    if np.any(np.diff(a) > 1e-12 * (1.0 + np.abs(a[:-1]))):
-        raise ValueError("approximation numbers must be non-increasing")
-    c = carl_constant(alpha_exp)
-    k = np.arange(1, a.size + 1, dtype=float)
-    running = np.maximum.accumulate(k**alpha_exp * a)
-    return c * k**-alpha_exp * running
-
-
 def ball_volume_root(n: int, p: float) -> float:
     """n-th root of the volume of the unit p-ball: 2 Gamma(1+1/p) / Gamma(n/p+1)^(1/n).
 
@@ -326,17 +303,6 @@ def volumetric_entropy_lower(m: OperatorMatrix) -> VolumetricBound:
         volume_ratio_root=ratio,
         diagonal_geomean=geomean,
     )
-
-
-def diagonal_floor(alpha: OrderFunction, n: int, r: float, p: float, q: float) -> float:
-    """Proven floor for every diagonal entry:
-
-    sigma_jj >= (n/r)^(1/p-1/q+1) * (1/C1) * (r/2n)^(a1+1), C1 = max(1, Gamma(a1+1))
-    with a1 the supremum of alpha on [0, r].
-    """
-    a1 = alpha.supremum(0.0, r)
-    c1 = max(1.0, gamma(a1 + 1.0))
-    return (n / r) ** (1.0 / p - 1.0 / q + 1.0) / c1 * (r / (2.0 * n)) ** (a1 + 1.0)
 
 
 def _spectrum_text(values) -> str:

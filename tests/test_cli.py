@@ -90,7 +90,17 @@ class TestGrammar:
     def test_ngrid(self):
         assert parse_ngrid("2^3..2^5") == [8, 16, 32]
         assert parse_ngrid("10,55,1000") == [10, 55, 1000]
-        for spec in ("2^5..2^3", "4,3", "2,8", "3..5"):
+        assert parse_ngrid("2^1023..2^1023") == parse_ngrid(f"{2**1023}") == [2**1023]
+        # an index near 2^1024 does not convert to a float
+        for spec in (
+            "2^5..2^3",
+            "4,3",
+            "2,8",
+            "3..5",
+            "2^6..2^1024",
+            f"16,{2**1024}",
+            f"16,{2**1024 - 1}",
+        ):
             with pytest.raises(ValueError):
                 parse_ngrid(spec)
 

@@ -28,9 +28,10 @@ from varfrac.orders import (
     LogPower,
     LogPowerOffset,
     PowerOffset,
+    Rescaled,
+    Shifted,
     Tabulated,
 )
-from varfrac.spectral import assemble_matrix, carl_entropy_upper, singular_values
 
 EX1 = PowerOffset(0.5, 1.0, 1.0)
 EX2 = LogPowerOffset(0.5, 1.0, 1.0)
@@ -119,8 +120,11 @@ class TestTwoBlock:
             two_block_upper(Tabulated((0.0, 1.0), (1.0, 0.5)), 0.5, 4, 4)
         # a dip narrower than the spacing of any fixed probe grid
         dip = Tabulated((0.0, 0.501, 0.5015, 0.502, 1.0), (1.0, 2.0, 1.5, 2.0, 3.0))
-        with pytest.raises(ValueError, match="non-decreasing"):
-            two_block_upper(dip, 0.3, 4, 4)
+        # the wrappers report the inner table's monotonicity; the base-class
+        # default would call them non-decreasing
+        for alpha in (dip, Rescaled(dip, 0.5), Shifted(dip, 0.3)):
+            with pytest.raises(ValueError, match="non-decreasing"):
+                two_block_upper(alpha, 0.3, 4, 4)
 
     def test_rejects_order_at_or_below_floor(self):
         with pytest.raises(ValueError):
@@ -191,6 +195,8 @@ class TestFormulaLower:
             formula_lower(Constant(0.5), 0.0, 16)
         with pytest.raises(ValueError):
             formula_lower(Constant(0.5), 0.5, 0)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            formula_lower(Tabulated((0.0, 0.5, 1.0), (0.5, 0.9, 0.7)), 0.5, 16)
 
 
 class TestFamilies:
@@ -454,17 +460,6 @@ class TestFitRate:
         fit = fit_rate(est, "power_log")
         assert fit.coefficients[1] == pytest.approx(-0.5, abs=1e-6)
         assert fit.coefficients[2] == pytest.approx(-1.0, abs=1e-6)
-
-    def test_carl_converted_spectrum_keeps_rate(self):
-        # entropy bounds from the discretized constant-order spectrum
-        sv = singular_values(assemble_matrix(Constant(0.5), 512))[:64]
-        bounds = carl_entropy_upper(sv, 0.5)
-        ns = tuple(range(8, 65))
-        est = EntropyEstimate(
-            n_values=ns, lower=None, upper=tuple(float(b) for b in bounds[7:])
-        )
-        fit = fit_rate(est, "power")
-        assert fit.coefficients[1] == pytest.approx(-0.5, abs=0.05)
 
     def test_near_collinear_design_flagged(self):
         ns = tuple(10**6 + i for i in range(6))

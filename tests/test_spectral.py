@@ -1,4 +1,4 @@
-"""Discretized operator spectra and the entropy conversions built on them."""
+"""Discretized operator matrices, their spectra and the volumetric entropy bound."""
 
 import json
 import math
@@ -15,6 +15,8 @@ from varfrac.orders import (
     LogPowerOffset,
     PowerOffset,
     ReciprocalLog,
+    Rescaled,
+    Shifted,
     Tabulated,
 )
 from varfrac.spectral import (
@@ -24,14 +26,15 @@ from varfrac.spectral import (
     approximation_numbers,
     assemble_matrix,
     ball_volume_root,
-    carl_constant,
-    carl_entropy_upper,
-    diagonal_floor,
     _spectrum_text,
     singular_values,
     volumetric_entropy_lower,
 )
 
+
+# a non-monotone table with nodes inside cells 0 and 6 and on the edge 0.25
+# at n = 8
+SPLIT_TABLE = ((0.0, 0.1, 0.11, 0.25, 0.5, 0.77, 1.0), (0.4, 0.6, 0.5, 0.9, 1.2, 0.8, 1.5))
 
 # the orders test_matches_row_closure_property draws
 CLOSURE_ORDERS = st.one_of(
@@ -224,13 +227,27 @@ class TestAssembly:
     @pytest.mark.parametrize("interpolation", ["linear", "step"])
     def test_tabulated_breakpoints_match_split_reference(self, interpolation):
         # two nodes inside cell 0, one on the edge 0.25, one inside cell 6
-        alpha = Tabulated(
-            (0.0, 0.1, 0.11, 0.25, 0.5, 0.77, 1.0),
-            (0.4, 0.6, 0.5, 0.9, 1.2, 0.8, 1.5),
-            interpolation,
-        )
+        alpha = Tabulated(*SPLIT_TABLE, interpolation)
         got = assemble_matrix(alpha, 8).entries
         assert max_relative_error(got, reference_entries(alpha, 8)) <= 1e-13
+
+    @pytest.mark.parametrize("interpolation", ["linear", "step"])
+    @pytest.mark.parametrize("wrapper", ["rescaled", "shifted"])
+    def test_wrapped_table_matches_direct_table(self, wrapper, interpolation):
+        # the wrappers pass on the inner breakpoints (scaled by Rescaled);
+        # without them the table's kinks fall inside cells and move entries
+        # by ~1e-3
+        nodes, values = SPLIT_TABLE
+        inner = Tabulated(nodes, values, interpolation)
+        if wrapper == "rescaled":
+            alpha = Rescaled(inner, 0.5)
+            direct = Tabulated((0.0, 0.2, 0.22, 0.5, 1.0), values[:5], interpolation)
+        else:
+            alpha = Shifted(inner, 0.3)
+            direct = Tabulated(nodes, tuple(v + 0.3 for v in values), interpolation)
+        got = assemble_matrix(alpha, 8).entries
+        want = assemble_matrix(direct, 8).entries
+        assert max_relative_error(got, want) <= 1e-13
 
     @pytest.mark.parametrize("value", [0.3, 0.7, 1.0, 1.4, 2.5])
     @pytest.mark.parametrize("n", [64, 1024])
@@ -252,10 +269,15 @@ class TestAssembly:
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
 
     def test_diagonal_floor_holds(self):
+        # proven floor at r = 1, p = q = 2: sigma_jj >= n / C1 * (1/2n)^(a1+1),
+        # C1 = max(1, Gamma(a1+1)), a1 = alpha(1) the supremum of a
+        # non-decreasing order
         for alpha in (Constant(0.5), PowerOffset(0.5, 1.0, 1.0)):
+            a1 = alpha.eval(1.0)
+            c1 = max(1.0, math.gamma(a1 + 1.0))
             for n in (4, 16, 64):
                 m = assemble_matrix(alpha, n)
-                assert np.min(m.diagonal) >= diagonal_floor(alpha, n, 1.0, 2.0, 2.0)
+                assert np.min(m.diagonal) >= n / c1 * (1.0 / (2.0 * n)) ** (a1 + 1.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -426,33 +448,6 @@ class TestBlockCoarsening:
         assert max_relative_error(coarse, ref) < max_relative_error(direct, ref)
 
 
-class TestCarl:
-    def test_constant_values(self):
-        assert carl_constant(1.0) == 2.0**7 * 96.0
-        assert carl_constant(0.5) == pytest.approx(2.0**7 * math.sqrt(80.0), rel=1e-14)
-
-    def test_harmonic_sequence_exponent_one(self):
-        k = np.arange(1, 33, dtype=float)
-        bounds = carl_entropy_upper(1.0 / k, 1.0)
-        assert np.allclose(bounds, 12288.0 / k, rtol=1e-13)
-
-    def test_requires_monotone_input(self):
-        with pytest.raises(ValueError):
-            carl_entropy_upper([1.0, 2.0], 0.5)
-
-    def test_rejects_bad_exponent(self):
-        for a in (0.0, -1.0, math.inf):
-            with pytest.raises(ValueError):
-                carl_constant(a)
-
-    def test_fitted_decay_preserved(self):
-        # converting k^-0.5 keeps the polynomial rate
-        k = np.arange(1, 65, dtype=float)
-        bounds = carl_entropy_upper(k**-0.5, 0.5)
-        slope = np.polyfit(np.log(k[7:]), np.log(bounds[7:]), 1)[0]
-        assert slope == pytest.approx(-0.5, abs=0.05)
-
-
 class TestVolumetric:
     def test_equal_diagonal_same_exponents_is_half_diagonal(self):
         for d in (1.0, 0.3, 7.5):
@@ -503,12 +498,3 @@ class TestVolumetric:
                     -float(special.gammaln(n / p + 1.0)) / n
                 )
                 assert ball_volume_root(n, p) == pytest.approx(want, rel=1e-14)
-
-
-class TestBracket:
-    def test_lower_below_carl_upper_at_matched_dimension(self):
-        for alpha, aexp in ((Constant(0.5), 0.5), (PowerOffset(0.5, 1.0, 1.0), 0.5)):
-            m = assemble_matrix(alpha, 32)
-            carl = carl_entropy_upper(singular_values(m), aexp)
-            vol = volumetric_entropy_lower(m)
-            assert vol.value <= carl[-1]
