@@ -22,7 +22,14 @@ from varfrac.diagnostics import (
     verify_semigroup,
     witness_separation,
 )
-from varfrac.orders import Constant, LogPower, PowerOffset, ReciprocalLog
+from varfrac.orders import (
+    Constant,
+    ExpOffset,
+    LogPower,
+    LogPowerOffset,
+    PowerOffset,
+    ReciprocalLog,
+)
 
 ONE = GridFunction((0.0, 1.0), (1.0, 1.0))
 COS3_NODES = np.linspace(0.0, 1.0, 257)
@@ -162,6 +169,56 @@ class TestCompactness:
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(ValueError):
             classify_compactness(Constant(1.0), "half")
+
+
+# dyadic depths k of the samples t_k = 2^-k in classify_compactness
+DEPTHS = np.arange(1, len(classify_compactness(Constant(1.0)).phi_evidence) + 1)
+
+
+class TestPhiEvidence:
+    """phi(t) = alpha(t)|ln t|, the weight whose divergence is compactness."""
+
+    def test_reciprocal_log_identity(self):
+        # phi = 1 identically below 1/e; the sample t = 1/2 sits on alpha = 1
+        phi = np.asarray(classify_compactness(ReciprocalLog()).phi_evidence)
+        assert phi[0] == pytest.approx(math.log(2.0), abs=1e-15)
+        assert np.max(np.abs(phi[1:] - 1.0)) <= 1e-15
+
+    def test_constant_grows_linearly_in_depth(self):
+        phi = np.asarray(classify_compactness(Constant(0.5)).phi_evidence)
+        np.testing.assert_allclose(phi, 0.5 * DEPTHS * math.log(2.0), rtol=1e-14)
+
+    def test_log_power(self):
+        # |ln t|^(-gamma) |ln t| = |ln t|^(1 - gamma) below 1/e
+        phi = np.asarray(classify_compactness(LogPower(0.5)).phi_evidence)
+        np.testing.assert_allclose(phi[1:], np.sqrt(DEPTHS[1:] * math.log(2.0)), rtol=1e-13)
+
+    def test_endpoint_one_reads_alpha_at_one_minus_u(self):
+        alpha = PowerOffset(0.5, 1.0, 1.0)
+        phi = np.asarray(classify_compactness(alpha, "one").phi_evidence)
+        u = 2.0**-DEPTHS
+        want = alpha.eval(np.minimum(1.0 - u, 1.0)) * DEPTHS * math.log(2.0)
+        np.testing.assert_allclose(phi, want, rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            Constant(0.7),
+            PowerOffset(0.5, 1.0, 2.0),
+            LogPowerOffset(0.5, 1.0, 1.0),
+            ExpOffset(0.5, 1.0, 1.0),
+            ReciprocalLog(),
+            LogPower(0.5),
+        ],
+        ids=lambda a: type(a).__name__,
+    )
+    @pytest.mark.parametrize("endpoint", ["zero", "one"])
+    def test_limit_evidence_is_exp_of_minus_phi(self, alpha, endpoint):
+        # t^alpha(t) = exp(-phi(t)): the two compactness tests are one test
+        v = classify_compactness(alpha, endpoint)
+        np.testing.assert_allclose(
+            v.limit_evidence, np.exp(-np.asarray(v.phi_evidence)), rtol=1e-12, atol=0.0
+        )
 
 
 class TestWitnesses:

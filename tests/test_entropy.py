@@ -28,6 +28,7 @@ from varfrac.orders import (
     LogPower,
     LogPowerOffset,
     PowerOffset,
+    ReciprocalLog,
     Rescaled,
     Shifted,
     Tabulated,
@@ -197,6 +198,26 @@ class TestFormulaLower:
             formula_lower(Constant(0.5), 0.5, 0)
         with pytest.raises(ValueError, match="non-decreasing"):
             formula_lower(Tabulated((0.0, 0.5, 1.0), (0.5, 0.9, 0.7)), 0.5, 16)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            EX1,
+            EX2,
+            EX3,
+            EX4,
+            ReciprocalLog(),
+            Tabulated((0.0, 0.2, 0.5, 1.0), (0.3, 0.3, 0.8, 0.9)),
+            Tabulated((0.0, 0.2, 0.5, 1.0), (0.3, 0.4, 0.8, 0.9), "step"),
+        ],
+        ids=["ex1", "ex2", "ex3", "ex4", "reciprocal-log", "linear-table", "step-table"],
+    )
+    def test_exponent_is_window_maximum(self, alpha):
+        # slow reference: a1 is the largest value of a dense scan of [0, r]
+        n = 2**10
+        for r in (1.0 / 8.0, 0.3, math.exp(-1.0), 1.0):
+            a1 = float(np.max(alpha.eval(np.linspace(0.0, r, 4097))))
+            assert formula_lower(alpha, r, n) == n**-a1 * r ** (a1 + 0.5 - 0.5)
 
 
 class TestFamilies:

@@ -149,6 +149,55 @@ class TestRescale:
         assert left == pytest.approx(right, rel=1e-12, abs=1e-12)
 
 
+    @pytest.mark.parametrize("alpha", FAMILIES, ids=lambda a: type(a).__name__)
+    def test_rescaled_eval_is_inner_at_scaled_argument(self, alpha):
+        t = np.linspace(0.0, 1.0, 257)
+        for r in (0.1, E_INV, 0.5, 1.0):
+            assert np.array_equal(alpha.rescale(r).eval(t), alpha.eval(r * t))
+
+    def test_rescaled_breakpoints_scale_inner(self):
+        assert LogPower(0.5).rescale(0.5).breakpoints == (E_INV / 0.5,)
+        # e^-1 / 0.3 > 1: the kink leaves the domain
+        assert LogPower(0.5).rescale(0.3).breakpoints == ()
+        table = Tabulated((0.0, 0.1, 0.4, 0.9, 1.0), (0.3, 0.5, 0.4, 0.6, 0.7))
+        assert table.rescale(0.5).breakpoints == (0.2, 0.8)
+
+
+NONMONOTONE = Tabulated((0.0, 0.1, 0.3, 1.0), (0.4, 0.9, 0.5, 0.8))
+
+
+class TestNondecreasing:
+    """The flag two_block_upper and formula_lower trust must be sound."""
+
+    @pytest.mark.parametrize(
+        "alpha",
+        FAMILIES[:6]
+        + [
+            Tabulated((0.0, 0.25, 1.0), (0.3, 0.3, 0.6)),
+            Tabulated((0.0, 0.25, 1.0), (0.3, 0.5, 0.6), "step"),
+            Shifted(LogPower(0.5), 0.25),
+            Rescaled(LogPowerOffset(0.5, 1.0, 1.0), 0.5),
+        ],
+        ids=lambda a: type(a).__name__,
+    )
+    def test_declared_flag_holds_on_dense_scan(self, alpha):
+        assert alpha.nondecreasing
+        lo, hi = alpha.domain
+        t = np.sort(np.concatenate([np.linspace(lo, hi, 20001), alpha.breakpoints]))
+        assert np.all(np.diff(alpha.eval(t)) >= 0.0)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [NONMONOTONE, Shifted(NONMONOTONE, 0.3), Rescaled(NONMONOTONE, 0.5)],
+        ids=["table", "shifted", "rescaled"],
+    )
+    def test_wrappers_keep_a_nonmonotone_table_flagged(self, alpha):
+        # the dip of NONMONOTONE lies inside [0, 0.5], so each is seen by a scan
+        t = np.linspace(*alpha.domain, 20001)
+        assert np.any(np.diff(alpha.eval(t)) < 0.0)
+        assert not alpha.nondecreasing
+
+
 class TestTabulated:
     def test_linear_interpolation(self):
         a = Tabulated((0.0, 0.5, 1.0), (1.0, 2.0, 1.0))
@@ -210,6 +259,10 @@ class TestShifted:
     def test_adds_offset_pointwise(self):
         a = Shifted(PowerOffset(0.5, 1.0, 1.0), 0.25)
         assert a.eval(0.5) == pytest.approx(1.25, abs=1e-15)
+
+    def test_breakpoints_are_inner(self):
+        assert Shifted(NONMONOTONE, 0.3).breakpoints == (0.1, 0.3)
+        assert Shifted(LogPower(0.5), 0.3).breakpoints == (E_INV,)
 
     def test_rescaled_type_round_trip(self):
         assert isinstance(PowerOffset(0.5, 1.0, 1.0).rescale(0.5), Rescaled)
