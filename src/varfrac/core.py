@@ -6,9 +6,10 @@ replaced by its declared interpolant and the weakly singular kernel is
 integrated exactly on every cell of f's own nodes through closed-form
 moments, so the result is exact up to roundoff for piecewise-linear and
 piecewise-constant inputs.  Both operators run as one sweep over a block of
-targets against all nodes: the kernel distance to every (target, node) edge
-is raised to the power a(t) once, and each cell's moment is the difference
-of its two edges.
+targets in kernel order against the nodes its kernels reach: the kernel
+distance to each such (target, node) edge is raised to the power a(t) once,
+and each cell's moment is the difference of its two edges.  The cells past
+a block's last target, where all of its kernels vanish, are never formed.
 
 Also provides the gamma function, evaluated over whole arrays by a numpy
 port of the Lanczos approximation that CPython's math.gamma uses, together
@@ -375,7 +376,11 @@ class GridFunction:
 
 # -- the fractional integral ----------------------------------------------
 
-#: targets per (targets x nodes) sweep; bounds the size of its temporaries
+#: targets per (targets x nodes) sweep; bounds the size of its temporaries.
+#: Product integration sorts its targets into kernel order first, so each
+#: block spans the live edges of its last target plus the first zero edge:
+#: the cells beyond have a zero kernel at both edges for every target of the
+#: block, so dropping them drops exact zeros.
 _BLOCK = 48
 
 
@@ -407,8 +412,14 @@ def _product_integral(
     M1 = (d_k^(a+1) - d_{k+1}^(a+1))/(a+1).  A linear cell is written from
     its far edge, f = y_k + slope_k * (d_k - dist), so its integral is
     y_k*M0 + slope_k*(d_k*M0 - M1); a step cell has its constant in place of
-    y_k and no slope term.  Cells beyond t have d = 0 at both edges and drop
-    out; targets outside `live` (empty range) give 0.
+    y_k and no slope term.  Targets outside `live` (empty range) give 0.
+
+    The sweep is triangular: the targets run in kernel order (ascending for
+    R, descending for Q) and each block stops at the first edge that lies at
+    or past its last target, the one whose kernel reaches the most edges.
+    Every edge beyond has d = 0 for every target of the block, so each cell
+    dropped there has two zero edges and contributes exactly 0; only the
+    length of the dot products changes.
     """
     out = np.zeros(ts.size)
     idx = np.flatnonzero(live)
@@ -428,17 +439,24 @@ def _product_integral(
         # a step cell holds its left node's value: the far edge for R, the near one for Q
         level, slope = (y[1:] if right else y[:-1]), np.zeros(x.size - 1)
     sloped = bool(np.any(slope))
+    # kernel order: sign * x ascends from the far edge, and so does sign * t
+    order = np.argsort(sign * ts[idx], kind="stable")
+    idx, a = idx[order], a[order]
+    pos = sign * x
     norm = gamma(a)
     for blk in _blocks(idx.size):
         ab = a[blk, None]
-        d = np.maximum(sign * (ts[idx[blk], None] - x), 0.0)
+        tb = ts[idx[blk]]
+        # the edges live for the block's last target, and the first zero edge
+        k = min(int(np.searchsorted(pos, sign * tb[-1])) + 1, x.size)
+        d = np.maximum(sign * (tb[:, None] - x[:k]), 0.0)
         p = d**ab
         m0 = (p[:, :-1] - p[:, 1:]) / ab
-        val = m0 @ level
+        val = m0 @ level[: k - 1]
         if sloped:
             p *= d
             m1 = (p[:, :-1] - p[:, 1:]) / (ab + 1.0)
-            val += (d[:, :-1] * m0 - m1) @ slope
+            val += (d[:, :-1] * m0 - m1) @ slope[: k - 1]
         out[idx[blk]] = val / norm[blk]
     return out
 

@@ -17,6 +17,7 @@ logarithmically many blocks and budgets n_j ~ n / j^2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,10 @@ __all__ = [
     "family_name",
     "FAMILIES",
 ]
+
+#: smallest entropy index at which the predicted rates and the prescribed
+#: radii are evaluated
+MIN_INDEX = 16
 
 #: the paper's worked examples, keyed by the order class that models each
 FAMILIES = {
@@ -318,8 +323,8 @@ def predict_rate(
     offset family carries different exponential constants on the two sides;
     the threshold family has no prescribed lower rate.
     """
-    if n < 16:
-        raise ValueError(f"rates are evaluated for n >= 16, got {n}")
+    if n < MIN_INDEX:
+        raise ValueError(f"rates are evaluated for n >= {MIN_INDEX}, got {n}")
     family = family_name(alpha)
     ln_n = math.log(n)
     if family == "Example1":
@@ -388,6 +393,46 @@ def choose_r(alpha: OrderFunction, n: int, bound_side: str) -> float:
     return r
 
 
+def _matched_index(alpha: OrderFunction, n: int) -> int:
+    """Entropy index at which a family's bounds for grid value n apply: N - m + 1
+    of the power-offset partition, 2 * ceil(n / 2) - 1 for the two equal
+    blocks of the two-block families, and n for the threshold family."""
+    family = family_name(alpha)
+    if family == "Example1":
+        plan = example1_partition(n, alpha.gamma)
+        return plan.total - plan.blocks + 1
+    if family in ("Example2", "Example3"):
+        return 2 * ((n + 1) // 2) - 1
+    return n
+
+
+def _check_grid(alpha: OrderFunction, family: str, n_grid: list[int]) -> None:
+    """Raise ValueError, naming the grid value, at the first n whose matched
+    index is below MIN_INDEX or has no prescribed radius in (0, 1).
+
+    The matched index never decreases with n, so the smallest accepted grid
+    value is the first one whose index reaches MIN_INDEX.  Whether a radius
+    lands in (0, 1) depends on the order's parameters as well.
+    """
+    smallest = next(n for n in itertools.count(3) if _matched_index(alpha, n) >= MIN_INDEX)
+    sides = {"Example1": ("lower",), "Example4": ("upper",)}.get(family, ("upper", "lower"))
+    for n in n_grid:
+        if n < smallest:
+            raise ValueError(
+                f"{family} bounds start at matched index {MIN_INDEX}, "
+                f"so grid values must be at least {smallest}; got {n}"
+            )
+        idx = _matched_index(alpha, n)
+        for side in sides:
+            try:
+                choose_r(alpha, idx, side)
+            except ValueError:
+                raise ValueError(
+                    f"{family} with these parameters has no prescribed {side} radius "
+                    f"in (0, 1) at grid value {n} (matched index {idx})"
+                ) from None
+
+
 def build_example_estimate(
     alpha: OrderFunction,
     n_grid,
@@ -401,18 +446,21 @@ def build_example_estimate(
     families use the single-cut construction with their prescribed radii
     (threshold family: local-norm term plus tail, no lower column).  Lower
     bounds are evaluated at the same matched index as the upper bounds.
+    Every grid value is checked before any bound is computed: its matched
+    index must be at least MIN_INDEX and have the family's radii in (0, 1).
     """
     family = family_name(alpha)
+    n_grid = [int(n) for n in n_grid]
+    _check_grid(alpha, family, n_grid)
     ns, lows, ups, preds = [], [], [], []
     for n in n_grid:
-        n = int(n)
         if family == "Example1":
             bound = iterated_upper(alpha, example1_partition(n, alpha.gamma), p, q)
             idx, upper = bound.index, bound.value
             lower = formula_lower(alpha, choose_r(alpha, idx, "lower"), idx, p, q)
         elif family in ("Example2", "Example3"):
             half = (n + 1) // 2
-            idx = 2 * half - 1
+            idx = _matched_index(alpha, n)
             upper = two_block_upper(alpha, choose_r(alpha, idx, "upper"), half, half, p, q)
             lower = formula_lower(alpha, choose_r(alpha, idx, "lower"), idx, p, q)
         else:

@@ -448,6 +448,25 @@ class TestEntropy:
         assert payload["params"] == params
         assert all(type(v) is float for v in payload["params"].values())
 
+    @pytest.mark.parametrize(
+        "spec, grid, given, smallest",
+        [
+            ("ex2:0.5,1,1", "16,32", 16, 17),
+            ("ex3:0.5,1,1", "16,32", 16, 17),
+            ("ex2:0.5,1,1", "2^1..2^5", 2, 17),
+            ("ex1:0.5,1,1", "13,64", 13, 14),
+            ("ex4:0.5", "15,64", 15, 16),
+        ],
+    )
+    def test_grid_below_the_matched_index_floor_names_the_grid_value(
+        self, capsys, spec, grid, given, smallest
+    ):
+        rc, out, err = run(capsys, "entropy", "--alpha", spec, "--n-grid", grid)
+        assert rc == EXIT_USAGE and out == ""
+        assert f"at least {smallest}; got {given}\n" in err
+        rc, _, _ = run(capsys, "entropy", "--alpha", spec, "--n-grid", f"{smallest},64")
+        assert rc == EXIT_OK
+
     def test_non_family_alpha_rejected(self, capsys):
         for spec in ("const:0.5", "reclog"):
             rc, _, err = run(capsys, "entropy", "--alpha", spec, "--n-grid", "64,128")

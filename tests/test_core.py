@@ -13,6 +13,7 @@ from varfrac.core import (
     K0,
     GridFunction,
     NumericalError,
+    _blocks,
     _lanczos_sum,
     besov_norm,
     gamma,
@@ -503,7 +504,7 @@ _orders = st.one_of(
 
 
 @st.composite
-def _grid_functions(draw):
+def _grid_functions(draw, kinds=("linear", "step")):
     """Linear or step f on [lo, hi] inside [0, 1], often the whole interval.
 
     Step nodes are free floats.  Linear nodes sit on a 512-cell grid of
@@ -514,7 +515,7 @@ def _grid_functions(draw):
     """
     lo = draw(st.sampled_from([0.0, 0.0, 0.1, 0.37]))
     hi = draw(st.sampled_from([1.0, 1.0, 0.6, 0.83]))
-    kind = draw(st.sampled_from(["linear", "step"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "step":
         inner = np.asarray(draw(st.lists(st.floats(lo, hi), max_size=30)))
     else:
@@ -598,3 +599,96 @@ class TestBlockedSweepsAgainstReference:
             ref(Tabled(), ONE, ts)
         assert str(new.value) == str(old.value)
         assert f"t={first}:" in str(new.value)
+
+
+# The (targets x nodes) sweep of core._product_integral as it ran before it
+# became triangular, kept verbatim: every target against every node, in the
+# caller's target order.
+
+
+def full_width_product_integral(
+    alpha: OrderFunction, f: GridFunction, ts: np.ndarray, live: np.ndarray, right: bool
+) -> np.ndarray:
+    """Exact kernel integral of f's interpolant at the targets ts[live].
+
+    Shared by R (right=False, kernel distance (t - s)_+) and Q (right=True,
+    (s - t)_+).  The nodes are ordered from the far end of the kernel to the
+    near end, mirrored for Q, so edge k is the far edge of cell k.  With
+    d = the kernel distance at an edge, d^a is taken once per (target, edge)
+    and cell k has the moments M0 = (d_k^a - d_{k+1}^a)/a and
+    M1 = (d_k^(a+1) - d_{k+1}^(a+1))/(a+1).  A linear cell is written from
+    its far edge, f = y_k + slope_k * (d_k - dist), so its integral is
+    y_k*M0 + slope_k*(d_k*M0 - M1); a step cell has its constant in place of
+    y_k and no slope term.  Cells beyond t have d = 0 at both edges and drop
+    out; targets outside `live` (empty range) give 0.
+    """
+    out = np.zeros(ts.size)
+    idx = np.flatnonzero(live)
+    if idx.size == 0:
+        return out
+    a = np.asarray(alpha.eval(ts[idx]), dtype=float)
+    bad = np.flatnonzero(a <= 0.0)
+    if bad.size:
+        k = bad[0]
+        raise NumericalError(f"order is nonpositive at target t={ts[idx[k]]}: alpha={a[k]}")
+    x, y, sign = f.nodes, f.values, 1.0
+    if right:
+        x, y, sign = x[::-1], y[::-1], -1.0
+    if f.interpretation == "linear":
+        level, slope = y[:-1], np.diff(y) / np.abs(np.diff(x))
+    else:
+        # a step cell holds its left node's value: the far edge for R, the near one for Q
+        level, slope = (y[1:] if right else y[:-1]), np.zeros(x.size - 1)
+    sloped = bool(np.any(slope))
+    norm = gamma(a)
+    for blk in _blocks(idx.size):
+        ab = a[blk, None]
+        d = np.maximum(sign * (ts[idx[blk], None] - x), 0.0)
+        p = d**ab
+        m0 = (p[:, :-1] - p[:, 1:]) / ab
+        val = m0 @ level
+        if sloped:
+            p *= d
+            m1 = (p[:, :-1] - p[:, 1:]) / (ab + 1.0)
+            val += (d[:, :-1] * m0 - m1) @ slope
+        out[idx[blk]] = val / norm[blk]
+    return out
+
+
+@st.composite
+def _sweep_targets(draw, f, r):
+    """47, 48, 49 or 97 targets of [0, r] around the block size of 48: both
+    ends, points left of f's support when it starts past 0, repeats, and no
+    particular order."""
+    lo = f.domain[0]
+    count = draw(st.sampled_from([47, 48, 49, 97]))
+    pool = [0.0, r, lo, lo / 2.0] + draw(st.lists(st.floats(0.0, r), min_size=1, max_size=count))
+    free = draw(st.lists(st.sampled_from(pool), min_size=count - 2, max_size=count - 2))
+    return np.asarray(draw(st.permutations([0.0, r] + free)))
+
+
+def _outcome(fn, *args):
+    """fn's values, or the message of the NumericalError it raises."""
+    try:
+        return fn(*args)
+    except NumericalError as exc:
+        return str(exc)
+
+
+class TestTrimmedSweepAgainstFullWidth:
+    @pytest.mark.parametrize("kind", ["linear", "step"])
+    @pytest.mark.parametrize("right", [False, True], ids=["R", "Q"])
+    @given(alpha=_orders, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_width(self, kind, right, alpha, data):
+        f = data.draw(_grid_functions(kinds=(kind,)))
+        r = f.domain[1] if right else 1.0
+        ts = data.draw(_sweep_targets(f, r))
+        live = ts < r if right else ts > 0.0
+        got = _outcome(q_values if right else rl_values, alpha, f, ts)
+        ref = _outcome(full_width_product_integral, alpha, f, ts, live, right)
+        if isinstance(ref, str) or isinstance(got, str):
+            assert got == ref
+            return
+        floor = 1e-15 * float(np.max(np.abs(f.values)))
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref) + floor)

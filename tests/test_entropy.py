@@ -359,6 +359,35 @@ class TestBuildEstimate:
         assert est.lower is None
         assert est.n_values == (64, 128, 256)
 
+    @pytest.mark.parametrize(
+        "alpha, smallest",
+        [(EX1, 14), (PowerOffset(0.5, 1.0, 3.0), 14), (EX2, 17), (EX3, 17), (EX4, 16)],
+    )
+    def test_smallest_grid_value_reaches_the_index_floor(self, alpha, smallest):
+        est = build_example_estimate(alpha, [smallest])
+        assert est.n_values[0] >= 16
+        with pytest.raises(ValueError) as exc:
+            build_example_estimate(alpha, [smallest - 1])
+        assert str(exc.value).endswith(f"must be at least {smallest}; got {smallest - 1}")
+
+    def test_grid_checked_before_any_bound(self, monkeypatch):
+        import varfrac.entropy as entropy
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a bound was computed before the grid check")
+
+        monkeypatch.setattr(entropy, "two_block_upper", fail)
+        with pytest.raises(ValueError, match="got 16$"):
+            build_example_estimate(EX2, [64, 16])
+
+    def test_radius_outside_unit_interval_names_grid_value(self):
+        # ln ln n must exceed lam = 3 for the lower radius of Example3
+        with pytest.raises(ValueError) as exc:
+            build_example_estimate(ExpOffset(0.5, 3.0, 1.0), [64])
+        assert "no prescribed lower radius in (0, 1) at grid value 64 (matched index 63)" in str(
+            exc.value
+        )
+
     def test_threshold_upper_matches_components(self):
         from varfrac.diagnostics import local_norm_bound
 

@@ -101,6 +101,7 @@ REJECTED = (
     "apply --alpha csv:alpha_bad_directive.csv --targets 0.25",
     "apply --alpha const:1 --f csv:f_step.csv --targets 0.25,0.75",
     "entropy --alpha ex2:0.5,1,1 --n-grid 2^6..2^1024",
+    "entropy --alpha ex2:0.5,1,1 --n-grid 16,32",
 )
 
 
