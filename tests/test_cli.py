@@ -449,7 +449,7 @@ class TestEntropy:
         assert all(type(v) is float for v in payload["params"].values())
 
     @pytest.mark.parametrize(
-        "spec, grid, given, smallest",
+        "spec, grid, value, smallest",
         [
             ("ex2:0.5,1,1", "16,32", 16, 17),
             ("ex3:0.5,1,1", "16,32", 16, 17),
@@ -459,11 +459,11 @@ class TestEntropy:
         ],
     )
     def test_grid_below_the_matched_index_floor_names_the_grid_value(
-        self, capsys, spec, grid, given, smallest
+        self, capsys, spec, grid, value, smallest
     ):
         rc, out, err = run(capsys, "entropy", "--alpha", spec, "--n-grid", grid)
         assert rc == EXIT_USAGE and out == ""
-        assert f"at least {smallest}; got {given}\n" in err
+        assert f"at least {smallest}; got {value}\n" in err
         rc, _, _ = run(capsys, "entropy", "--alpha", spec, "--n-grid", f"{smallest},64")
         assert rc == EXIT_OK
 
