@@ -151,8 +151,8 @@ def parse_ngrid(spec: str) -> list[int]:
             )
         return [2**k for k in range(a, b + 1)]
     grid = [int(x) for x in spec.split(",")]
-    if not grid or any(n < 3 for n in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("explicit grid must be increasing integers >= 3")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("explicit grid must be increasing integers")
     if grid[-1] > 2**_NGRID_MAX_POWER:
         raise ValueError(f"grid indices must be at most 2^{_NGRID_MAX_POWER}")
     return grid

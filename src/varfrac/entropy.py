@@ -406,33 +406,6 @@ def _matched_index(alpha: OrderFunction, n: int) -> int:
     return n
 
 
-def _check_grid(alpha: OrderFunction, family: str, n_grid: list[int]) -> None:
-    """Raise ValueError, naming the grid value, at the first n whose matched
-    index is below MIN_INDEX or has no prescribed radius in (0, 1).
-
-    The matched index never decreases with n, so the smallest accepted grid
-    value is the first one whose index reaches MIN_INDEX.  Whether a radius
-    lands in (0, 1) depends on the order's parameters as well.
-    """
-    smallest = next(n for n in itertools.count(3) if _matched_index(alpha, n) >= MIN_INDEX)
-    sides = {"Example1": ("lower",), "Example4": ("upper",)}.get(family, ("upper", "lower"))
-    for n in n_grid:
-        if n < smallest:
-            raise ValueError(
-                f"{family} bounds start at matched index {MIN_INDEX}, "
-                f"so grid values must be at least {smallest}; got {n}"
-            )
-        idx = _matched_index(alpha, n)
-        for side in sides:
-            try:
-                choose_r(alpha, idx, side)
-            except ValueError:
-                raise ValueError(
-                    f"{family} with these parameters has no prescribed {side} radius "
-                    f"in (0, 1) at grid value {n} (matched index {idx})"
-                ) from None
-
-
 def build_example_estimate(
     alpha: OrderFunction,
     n_grid,
@@ -446,35 +419,52 @@ def build_example_estimate(
     families use the single-cut construction with their prescribed radii
     (threshold family: local-norm term plus tail, no lower column).  Lower
     bounds are evaluated at the same matched index as the upper bounds.
-    Every grid value is checked before any bound is computed: its matched
+
+    Everything is checked before any bound is computed: the exponents (p = q
+    outside the power-offset family), then each grid value, whose matched
     index must be at least MIN_INDEX and have the family's radii in (0, 1).
+    The matched index never decreases with n, so the smallest accepted grid
+    value is the first one whose index reaches MIN_INDEX.
     """
     family = family_name(alpha)
-    n_grid = [int(n) for n in n_grid]
-    _check_grid(alpha, family, n_grid)
-    ns, lows, ups, preds = [], [], [], []
-    for n in n_grid:
+    if family != "Example1" and p != q:
+        raise ValueError(f"{family} rates are stated for matching exponents p = q")
+    smallest = next(n for n in itertools.count(3) if _matched_index(alpha, n) >= MIN_INDEX)
+    sides = {"Example1": ("lower",), "Example4": ("upper",)}.get(family, ("upper", "lower"))
+    plan = []
+    for n in map(int, n_grid):
+        if n < smallest:
+            raise ValueError(
+                f"{family} bounds start at matched index {MIN_INDEX}, "
+                f"so grid values must be at least {smallest}; got {n}"
+            )
+        idx = _matched_index(alpha, n)
+        radii = {}
+        for side in sides:
+            try:
+                radii[side] = choose_r(alpha, idx, side)
+            except ValueError:
+                raise ValueError(
+                    f"{family} with these parameters has no prescribed {side} radius "
+                    f"in (0, 1) at grid value {n} (matched index {idx})"
+                ) from None
+        plan.append((n, idx, radii))
+
+    lows, ups, preds = [], [], []
+    for n, idx, radii in plan:
         if family == "Example1":
-            bound = iterated_upper(alpha, example1_partition(n, alpha.gamma), p, q)
-            idx, upper = bound.index, bound.value
-            lower = formula_lower(alpha, choose_r(alpha, idx, "lower"), idx, p, q)
-        elif family in ("Example2", "Example3"):
-            half = (n + 1) // 2
-            idx = _matched_index(alpha, n)
-            upper = two_block_upper(alpha, choose_r(alpha, idx, "upper"), half, half, p, q)
-            lower = formula_lower(alpha, choose_r(alpha, idx, "lower"), idx, p, q)
+            ups.append(iterated_upper(alpha, example1_partition(n, alpha.gamma), p, q).value)
+        elif family == "Example4":
+            r = radii["upper"]
+            ups.append(local_norm_bound(alpha, "zero", r) + idx ** (-float(alpha.eval(r))))
         else:
-            idx = n
-            r = choose_r(alpha, idx, "upper")
-            upper = local_norm_bound(alpha, "zero", r) + idx ** (-float(alpha.eval(r)))
-            lower = None
-        ns.append(idx)
-        ups.append(upper)
-        if lower is not None:
-            lows.append(lower)
+            half = (n + 1) // 2
+            ups.append(two_block_upper(alpha, radii["upper"], half, half, p, q))
+        if "lower" in radii:
+            lows.append(formula_lower(alpha, radii["lower"], idx, p, q))
         preds.append(predict_rate(alpha, idx, p, q)["upper"])
     return EntropyEstimate(
-        n_values=tuple(ns),
+        n_values=tuple(idx for _, idx, _ in plan),
         lower=tuple(lows) if lows else None,
         upper=tuple(ups),
         predicted=tuple(preds),

@@ -22,7 +22,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -180,26 +180,6 @@ class ExpOffset(OrderFunction):
 
 
 @dataclass(frozen=True)
-class ReciprocalLog(OrderFunction):
-    """alpha(t) = 1/|ln t| on (0, e^-1], 1 on [e^-1, 1], 0 at t = 0.
-
-    The canonical profile with t**alpha(t) = e^-1 identically near zero, the
-    borderline of compactness.
-    """
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return (_E_INV,)
-
-    def _eval_array(self, t: np.ndarray) -> np.ndarray:
-        out = np.ones_like(t)
-        small = t < _E_INV
-        with np.errstate(divide="ignore"):
-            out[small] = 1.0 / np.abs(np.log(t[small]))
-        return out
-
-
-@dataclass(frozen=True)
 class LogPower(OrderFunction):
     """alpha(t) = |ln t|**(-gamma) on (0, e^-1], 1 on [e^-1, 1], 0 at t = 0."""
 
@@ -219,6 +199,18 @@ class LogPower(OrderFunction):
         with np.errstate(divide="ignore"):
             out[small] = np.abs(np.log(t[small])) ** -self.gamma
         return out
+
+
+@dataclass(frozen=True)
+class ReciprocalLog(LogPower):
+    """alpha(t) = 1/|ln t| on (0, e^-1], 1 on [e^-1, 1], 0 at t = 0.
+
+    The canonical profile with t**alpha(t) = e^-1 identically near zero, the
+    borderline of compactness.  It is LogPower at gamma = 1, which is not a
+    worked family: the entropy bounds of LogPower need gamma in (0, 1).
+    """
+
+    gamma: float = field(default=1.0, init=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,6 @@ class TestGrammar:
         for spec in (
             "2^5..2^3",
             "4,3",
-            "2,8",
             "3..5",
             "2^6..2^1024",
             f"16,{2**1024}",
@@ -454,6 +453,7 @@ class TestEntropy:
             ("ex2:0.5,1,1", "16,32", 16, 17),
             ("ex3:0.5,1,1", "16,32", 16, 17),
             ("ex2:0.5,1,1", "2^1..2^5", 2, 17),
+            ("ex2:0.5,1,1", "2,40", 2, 17),
             ("ex1:0.5,1,1", "13,64", 13, 14),
             ("ex4:0.5", "15,64", 15, 16),
         ],

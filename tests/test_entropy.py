@@ -380,6 +380,17 @@ class TestBuildEstimate:
         with pytest.raises(ValueError, match="got 16$"):
             build_example_estimate(EX2, [64, 16])
 
+    def test_exponents_checked_before_any_bound(self, monkeypatch):
+        import varfrac.entropy as entropy
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a bound was computed before the exponent check")
+
+        monkeypatch.setattr(entropy, "two_block_upper", fail)
+        monkeypatch.setattr(entropy, "formula_lower", fail)
+        with pytest.raises(ValueError, match="matching exponents p = q"):
+            build_example_estimate(EX2, [64], p=3.0)
+
     def test_radius_outside_unit_interval_names_grid_value(self):
         # ln ln n must exceed lam = 3 for the lower radius of Example3
         with pytest.raises(ValueError) as exc:

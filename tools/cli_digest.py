@@ -102,6 +102,8 @@ REJECTED = (
     "apply --alpha const:1 --f csv:f_step.csv --targets 0.25,0.75",
     "entropy --alpha ex2:0.5,1,1 --n-grid 2^6..2^1024",
     "entropy --alpha ex2:0.5,1,1 --n-grid 16,32",
+    "entropy --alpha ex2:0.5,1,1 --n-grid 2^6..2^8 --p 3",
+    "entropy --alpha ex2:0.5,1,1 --n-grid 2,40",
 )
 
 
