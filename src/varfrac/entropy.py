@@ -456,7 +456,7 @@ def build_example_estimate(
             ups.append(iterated_upper(alpha, example1_partition(n, alpha.gamma), p, q).value)
         elif family == "Example4":
             r = radii["upper"]
-            ups.append(local_norm_bound(alpha, "zero", r) + idx ** (-float(alpha.eval(r))))
+            ups.append(local_norm_bound(alpha, r) + idx ** (-float(alpha.eval(r))))
         else:
             half = (n + 1) // 2
             ups.append(two_block_upper(alpha, radii["upper"], half, half, p, q))

@@ -29,6 +29,7 @@ from varfrac.orders import (
     OrderFunction,
     PowerOffset,
     ReciprocalLog,
+    Tabulated,
 )
 
 ONE = GridFunction((0.0, 1.0), (1.0, 1.0))
@@ -175,6 +176,15 @@ class TestRlValues:
 
     def test_target_zero_is_zero(self):
         assert rl_values(Constant(0.5), ONE, [0.0])[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "alpha", [Constant(0.5), Tabulated((0.0, 0.5, 1.0), (0.4, 1.3, 0.8))]
+    )
+    def test_no_target_inside_the_range_gives_exact_zeros(self, alpha):
+        # R at t = 0 and Q at t = r integrate over an empty interval
+        f = GridFunction((0.0, 0.25, 0.75), (1.0, -2.0, 3.0))
+        for got in (rl_values(alpha, f, [0.0, 0.0]), q_values(alpha, f, [0.75, 0.75])):
+            assert got.tolist() == [0.0, 0.0]
 
     def test_tiny_step_cell_ending_at_target(self):
         # (t-u)^a - (t-v)^a with v = t: no cancellation as the cell shrinks

@@ -304,28 +304,25 @@ class TestScaling:
 
 class TestLocalNormBound:
     def test_constant_endpoint_zero(self):
-        got = local_norm_bound(Constant(0.5), "zero", 0.25)
+        got = local_norm_bound(Constant(0.5), 0.25)
         assert got == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_reciprocal_log_never_vanishes(self):
         for r in (0.1, 1e-3, 1e-6):
-            assert local_norm_bound(ReciprocalLog(), "zero", r) >= math.exp(-1.0)
-
-    def test_identity_order_endpoint_one(self):
-        got = local_norm_bound(Constant(1.0), "one", 0.25, p=2.0)
-        assert got == pytest.approx(math.sqrt(0.5), rel=1e-12)
+            assert local_norm_bound(ReciprocalLog(), r) >= math.exp(-1.0)
 
     def test_compact_order_bound_vanishes(self):
         vals = [
-            local_norm_bound(PowerOffset(0.5, 1.0, 2.0), "zero", r)
+            local_norm_bound(PowerOffset(0.5, 1.0, 2.0), r)
             for r in (0.5, 0.05, 0.005)
         ]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 0.1
 
-    def test_endpoint_one_needs_exponent(self):
-        with pytest.raises(ValueError):
-            local_norm_bound(Constant(1.0), "one", 0.25)
+    def test_rejects_radius_outside_unit_interval(self):
+        for r in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="need 0 < r <= 1"):
+                local_norm_bound(Constant(0.5), r)
 
 
 class TestStabilityInvariants:

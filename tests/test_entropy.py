@@ -406,8 +406,13 @@ class TestBuildEstimate:
         est = build_example_estimate(EX4, [n])
         alpha = LogPower(0.5)
         r = 1.0 / n
-        expected = local_norm_bound(alpha, "zero", r) + n ** (-float(alpha.eval(r)))
+        expected = local_norm_bound(alpha, r) + n ** (-float(alpha.eval(r)))
         assert est.upper[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_threshold_upper_past_the_underflow_of_its_scan(self):
+        # r = 1/n, so the scan's t = r * 2^-200 falls below the smallest double
+        est = build_example_estimate(EX4, [2**900, 2**1000])
+        assert all(math.isfinite(u) and u > 0.0 for u in est.upper)
 
     def test_predicted_to_upper_ratio_window(self, ex1_desk):
         # asymptotic constants still drain at desk scale, but stay within
