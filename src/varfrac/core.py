@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -244,7 +245,6 @@ class GridFunction:
         values.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_cum", None)
 
     # -- basic queries ---------------------------------------------------
 
@@ -289,21 +289,19 @@ class GridFunction:
 
     # -- integration -----------------------------------------------------
 
-    def _cumulative_nodes(self) -> np.ndarray:
-        cum = object.__getattribute__(self, "_cum")
-        if cum is None:
-            h = np.diff(self.nodes)
-            if self.interpretation == "linear":
-                cells = h * (self.values[:-1] + self.values[1:]) / 2.0
-            else:
-                cells = h * self.values[:-1]
-            cum = np.concatenate(([0.0], np.cumsum(cells)))
-            object.__setattr__(self, "_cum", cum)
-        return cum
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        """Integral of the interpolant from nodes[0] to each node."""
+        h = np.diff(self.nodes)
+        if self.interpretation == "linear":
+            cells = h * (self.values[:-1] + self.values[1:]) / 2.0
+        else:
+            cells = h * self.values[:-1]
+        return np.concatenate(([0.0], np.cumsum(cells)))
 
     def cumulative_at(self, x):
         """Exact int_{-inf}^x of the (zero-extended) interpolant."""
-        cum = self._cumulative_nodes()
+        cum = self._cum
         arr = np.asarray(x, dtype=float)
         clipped = np.clip(arr, self.nodes[0], self.nodes[-1])
         idx = np.clip(

@@ -19,7 +19,7 @@ quadrature artifacts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,12 +80,7 @@ class NormReport:
         object.__setattr__(self, "divergent", bool(self.divergent))
 
     def to_dict(self) -> dict:
-        return {
-            "value": None if self.divergent else self.value,
-            "divergent": self.divergent,
-            "evidence": [[a, b] for a, b in self.evidence],
-            "method": self.method,
-        }
+        return asdict(self) | {"value": None if self.divergent else self.value}
 
 
 @dataclass(frozen=True)
@@ -114,14 +109,7 @@ class CompactnessVerdict:
         object.__setattr__(self, "phi_evidence", tuple(float(v) for v in self.phi_evidence))
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "endpoint": self.endpoint,
-            "limit_evidence": list(self.limit_evidence),
-            "phi_evidence": list(self.phi_evidence),
-            "tol_compact": _TOL_COMPACT,
-            "tol_noncompact": _TOL_NONCOMPACT,
-        }
+        return asdict(self) | {"tol_compact": _TOL_COMPACT, "tol_noncompact": _TOL_NONCOMPACT}
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -121,14 +121,7 @@ class RateFit:
     degenerate: bool
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "side": self.side,
-            "coefficients": list(self.coefficients),
-            "residual": self.residual,
-            "condition": self.condition,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -393,17 +386,18 @@ def choose_r(alpha: OrderFunction, n: int, bound_side: str) -> float:
     return r
 
 
-def _matched_index(alpha: OrderFunction, n: int) -> int:
-    """Entropy index at which a family's bounds for grid value n apply: N - m + 1
-    of the power-offset partition, 2 * ceil(n / 2) - 1 for the two equal
-    blocks of the two-block families, and n for the threshold family."""
+def _matched_index(alpha: OrderFunction, n: int) -> tuple[int, PartitionPlan | None]:
+    """Entropy index at which a family's bounds for grid value n apply, with the
+    power-offset partition it comes from (None for the other families): N - m + 1
+    of that partition, 2 * ceil(n / 2) - 1 for the two equal blocks of the
+    two-block families, and n for the threshold family."""
     family = family_name(alpha)
     if family == "Example1":
-        plan = example1_partition(n, alpha.gamma)
-        return plan.total - plan.blocks + 1
+        partition = example1_partition(n, alpha.gamma)
+        return partition.total - partition.blocks + 1, partition
     if family in ("Example2", "Example3"):
-        return 2 * ((n + 1) // 2) - 1
-    return n
+        return 2 * ((n + 1) // 2) - 1, None
+    return n, None
 
 
 def build_example_estimate(
@@ -429,7 +423,7 @@ def build_example_estimate(
     family = family_name(alpha)
     if family != "Example1" and p != q:
         raise ValueError(f"{family} rates are stated for matching exponents p = q")
-    smallest = next(n for n in itertools.count(3) if _matched_index(alpha, n) >= MIN_INDEX)
+    smallest = next(n for n in itertools.count(3) if _matched_index(alpha, n)[0] >= MIN_INDEX)
     sides = {"Example1": ("lower",), "Example4": ("upper",)}.get(family, ("upper", "lower"))
     plan = []
     for n in map(int, n_grid):
@@ -438,7 +432,7 @@ def build_example_estimate(
                 f"{family} bounds start at matched index {MIN_INDEX}, "
                 f"so grid values must be at least {smallest}; got {n}"
             )
-        idx = _matched_index(alpha, n)
+        idx, partition = _matched_index(alpha, n)
         radii = {}
         for side in sides:
             try:
@@ -448,12 +442,12 @@ def build_example_estimate(
                     f"{family} with these parameters has no prescribed {side} radius "
                     f"in (0, 1) at grid value {n} (matched index {idx})"
                 ) from None
-        plan.append((n, idx, radii))
+        plan.append((n, idx, radii, partition))
 
     lows, ups, preds = [], [], []
-    for n, idx, radii in plan:
+    for n, idx, radii, partition in plan:
         if family == "Example1":
-            ups.append(iterated_upper(alpha, example1_partition(n, alpha.gamma), p, q).value)
+            ups.append(iterated_upper(alpha, partition, p, q).value)
         elif family == "Example4":
             r = radii["upper"]
             ups.append(local_norm_bound(alpha, r) + idx ** (-float(alpha.eval(r))))
@@ -464,7 +458,7 @@ def build_example_estimate(
             lows.append(formula_lower(alpha, radii["lower"], idx, p, q))
         preds.append(predict_rate(alpha, idx, p, q)["upper"])
     return EntropyEstimate(
-        n_values=tuple(idx for _, idx, _ in plan),
+        n_values=tuple(idx for _, idx, _, _ in plan),
         lower=tuple(lows) if lows else None,
         upper=tuple(ups),
         predicted=tuple(preds),
@@ -485,14 +479,9 @@ def fit_rate(est: EntropyEstimate, model: str, side: str = "upper") -> RateFit:
     """
     if model not in ("power", "power_log", "power_loglog"):
         raise ValueError(f"unknown model {model!r}")
-    if side == "upper":
-        data = est.upper
-    elif side == "lower":
-        data = est.lower
-    elif side == "predicted":
-        data = est.predicted
-    else:
+    if side not in ("upper", "lower", "predicted"):
         raise ValueError(f"unknown side {side!r}")
+    data = getattr(est, side)
     if data is None:
         raise ValueError(f"estimate has no {side} column")
     if len(data) < 6:

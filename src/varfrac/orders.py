@@ -82,7 +82,8 @@ class OrderFunction:
         """Evaluate alpha(t).  Scalar in, float out; array in, array out."""
         arr = np.asarray(t, dtype=float)
         lo, hi = self.domain
-        if arr.size and (np.min(arr) < lo - _EDGE_TOL or np.max(arr) > hi + _EDGE_TOL):
+        # written so that a NaN argument fails it
+        if arr.size and not (np.min(arr) >= lo - _EDGE_TOL and np.max(arr) <= hi + _EDGE_TOL):
             raise OrderFunctionError(
                 f"argument outside domain [{lo}, {hi}]: "
                 f"range [{np.min(arr)}, {np.max(arr)}]"
@@ -114,29 +115,35 @@ class Constant(OrderFunction):
         return np.full_like(t, self.value)
 
 
-def _check_offset_params(alpha0: float, lam: float, gamma: float) -> None:
-    for name, v in (("alpha0", alpha0), ("lam", lam), ("gamma", gamma)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise OrderFunctionError(f"{name} must be positive and finite, got {v}")
+def _capped_log_power(t: np.ndarray, gamma: float) -> np.ndarray:
+    """max(1, |ln t|)**-gamma: |ln t|**-gamma below e^-1, 1 above, 0 at t = 0."""
+    with np.errstate(divide="ignore"):
+        return np.maximum(1.0, np.abs(np.log(t))) ** -gamma
 
 
 @dataclass(frozen=True)
-class PowerOffset(OrderFunction):
-    """alpha(t) = alpha0 + lam * t**gamma, increasing from alpha0."""
+class _Offset(OrderFunction):
+    """alpha0 + lam * shape(t): the three offset families' shared parameters."""
 
     alpha0: float
     lam: float
     gamma: float
 
     def __post_init__(self):
-        _check_offset_params(self.alpha0, self.lam, self.gamma)
+        for name in ("alpha0", "lam", "gamma"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise OrderFunctionError(f"{name} must be positive and finite, got {v}")
+
+
+class PowerOffset(_Offset):
+    """alpha(t) = alpha0 + lam * t**gamma, increasing from alpha0."""
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
         return self.alpha0 + self.lam * t**self.gamma
 
 
-@dataclass(frozen=True)
-class LogPowerOffset(OrderFunction):
+class LogPowerOffset(_Offset):
     """alpha(t) = alpha0 + lam * max(1, |ln t|)**(-gamma).
 
     Equals alpha0 + lam * |ln t|**(-gamma) on (0, e^-1] and alpha0 + lam on
@@ -144,33 +151,16 @@ class LogPowerOffset(OrderFunction):
     eval(0) = alpha0 (right limit).
     """
 
-    alpha0: float
-    lam: float
-    gamma: float
-
-    def __post_init__(self):
-        _check_offset_params(self.alpha0, self.lam, self.gamma)
-
     @property
     def breakpoints(self) -> tuple[float, ...]:
         return (_E_INV,)
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            capped = np.maximum(1.0, np.abs(np.log(t)))
-        return self.alpha0 + self.lam * capped**-self.gamma
+        return self.alpha0 + self.lam * _capped_log_power(t, self.gamma)
 
 
-@dataclass(frozen=True)
-class ExpOffset(OrderFunction):
+class ExpOffset(_Offset):
     """alpha(t) = alpha0 + exp(-lam * t**(-gamma)), increasing; eval(0) = alpha0."""
-
-    alpha0: float
-    lam: float
-    gamma: float
-
-    def __post_init__(self):
-        _check_offset_params(self.alpha0, self.lam, self.gamma)
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
         # t**-gamma may hit inf at tiny t; exp(-inf) = 0 is the right limit
@@ -194,11 +184,7 @@ class LogPower(OrderFunction):
         return (_E_INV,)
 
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
-        out = np.ones_like(t)
-        small = t < _E_INV
-        with np.errstate(divide="ignore"):
-            out[small] = np.abs(np.log(t[small])) ** -self.gamma
-        return out
+        return _capped_log_power(t, self.gamma)
 
 
 @dataclass(frozen=True)

@@ -391,6 +391,21 @@ class TestBuildEstimate:
         with pytest.raises(ValueError, match="matching exponents p = q"):
             build_example_estimate(EX2, [64], p=3.0)
 
+    def test_each_power_offset_partition_built_once(self, monkeypatch):
+        import varfrac.entropy as entropy
+
+        grid = [2**10, 2**12]
+        built = []
+        build = entropy.example1_partition
+
+        def counting(n, gamma):
+            built.append(n)
+            return build(n, gamma)
+
+        monkeypatch.setattr(entropy, "example1_partition", counting)
+        build_example_estimate(EX1, grid)
+        assert [built.count(n) for n in grid] == [1, 1]
+
     def test_radius_outside_unit_interval_names_grid_value(self):
         # ln ln n must exceed lam = 3 for the lower radius of Example3
         with pytest.raises(ValueError) as exc:
@@ -593,3 +608,26 @@ class TestDeskScaleRates:
         assert slope == pytest.approx(-1.0, abs=0.15)
         pred_slope = np.polyfit(x, np.log(np.asarray(est.predicted)), 1)[0]
         assert pred_slope == pytest.approx(-1.0, abs=1e-12)
+
+
+class TestBeyondDeskScale:
+    """Example1 on 2^200 .. 2^600, where the claims that fail at desk scale
+    (the strict xfails of TestDeskScaleRates and TestBuildEstimate) hold.
+
+    The bounds of PowerOffset(0.5, 1, 1) stay above 1e-160, far from
+    underflow, for every grid value up to 2^1023.
+    """
+
+    @pytest.fixture(scope="class")
+    def ex1_far(self) -> EntropyEstimate:
+        return build_example_estimate(EX1, [2**k for k in range(200, 601, 50)])
+
+    def test_construction_slopes_in_rate_band(self, ex1_far):
+        # measured: -0.497 upper, -0.481 lower
+        assert -0.6 <= compensated_slope(ex1_far, ex1_far.upper, 0.5) <= -0.4
+        assert -0.6 <= compensated_slope(ex1_far, ex1_far.lower, 0.5) <= -0.4
+
+    def test_ratio_window_from_the_first_grid_point(self, ex1_far):
+        # measured: upper / predicted between 4.475 and 4.490
+        for up, pred in zip(ex1_far.upper, ex1_far.predicted):
+            assert 0.1 <= up / pred <= 10.0

@@ -74,6 +74,16 @@ class TestEval:
         with pytest.raises(OrderFunctionError):
             Constant(0.5).eval(-0.2)
 
+    @pytest.mark.parametrize(
+        "alpha", FAMILIES + [Shifted(LogPower(0.5), 0.25), Rescaled(Constant(0.5), 0.5)], ids=repr
+    )
+    @pytest.mark.parametrize(
+        "t", [math.nan, np.array([0.25, math.nan, 0.5])], ids=["scalar", "array"]
+    )
+    def test_eval_rejects_nan(self, alpha, t):
+        with pytest.raises(OrderFunctionError, match="outside domain"):
+            alpha.eval(t)
+
     def test_eval_deterministic(self):
         for alpha in FAMILIES:
             t = np.linspace(alpha.domain[0], alpha.domain[1], 37)

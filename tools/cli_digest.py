@@ -109,6 +109,10 @@ REJECTED = (
     "entropy --alpha ex2:0.5,1,1 --n-grid 16,32",
     "entropy --alpha ex2:0.5,1,1 --n-grid 2^6..2^8 --p 3",
     "entropy --alpha ex2:0.5,1,1 --n-grid 2,40",
+    "apply --alpha ex1:0.5,0,2 --targets 0.5",
+    "apply --alpha ex2:nan,1,1 --targets 0.5",
+    "apply --alpha ex3:0.5,1,inf --targets 0.5",
+    "apply --alpha ex4:0 --targets 0.5",
 )
 
 
