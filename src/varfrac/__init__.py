@@ -6,22 +6,49 @@ near the endpoints, spectral discretization, and entropy-number bound
 machinery with rate regression for the worked order families.
 
 The package namespace is the union of the five modules' ``__all__`` lists.
+It is lazy (PEP 562): ``import varfrac`` loads no submodule.  A submodule
+is imported when it is first named, an exported name when it is first
+looked up (the modules are searched in the order below, and each one
+searched is imported), and ``__all__``, ``dir(varfrac)`` and
+``from varfrac import *`` import all five.
 """
 
-from . import core, diagnostics, entropy, orders, spectral
-from .core import *  # noqa: F401,F403
-from .diagnostics import *  # noqa: F401,F403
-from .entropy import *  # noqa: F401,F403
-from .orders import *  # noqa: F401,F403
-from .spectral import *  # noqa: F401,F403
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    *orders.__all__,
-    *core.__all__,
-    *diagnostics.__all__,
-    *spectral.__all__,
-    *entropy.__all__,
-]
+#: the submodules that make up the namespace, in the order they are imported
+_MODULES = ("core", "diagnostics", "entropy", "orders", "spectral")
+
+#: the order of the export list
+_EXPORT_ORDER = ("orders", "core", "diagnostics", "spectral", "entropy")
+
+
+def _module(name: str):
+    qualified = f"{__name__}.{name}"
+    # the import statement's path, unlike importlib's, shows in -X importtime
+    __import__(qualified)
+    return sys.modules[qualified]
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return _module(name)
+    if name == "__all__":
+        modules = {m: _module(m) for m in _MODULES}
+        value = ["__version__", *(n for m in _EXPORT_ORDER for n in modules[m].__all__)]
+    else:
+        for m in _MODULES:
+            module = _module(m)
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    exports = globals()["__all__"] if "__all__" in globals() else __getattr__("__all__")
+    return sorted({*globals(), *_MODULES, *exports})

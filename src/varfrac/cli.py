@@ -24,20 +24,11 @@ from .core import (
     GridFunction,
     K0,
     NumericalError,
+    _sorted_unique,
     maximal_values,
     q_values,
     rl_values,
 )
-from .diagnostics import (
-    classify_compactness,
-    l1_criterion_integral,
-    l1_operator_norm,
-    lp_to_linf_norm,
-    verify_scaling,
-    verify_semigroup,
-    witness_separation,
-)
-from .entropy import build_example_estimate, family_name, fit_rate
 from .orders import (
     Constant,
     ExpOffset,
@@ -49,16 +40,53 @@ from .orders import (
     ReciprocalLog,
     Tabulated,
 )
-from .spectral import (
-    OperatorMatrix,
-    _check_dense_size,
-    _spectrum_text,
-    approximation_numbers,
-    assemble_matrix,
-    singular_values,
-)
 
 __all__ = ["main"]
+
+#: names the subcommands take from the modules that not every subcommand
+#: runs.  A subcommand binds a module's names into this module's globals
+#: before it first calls one (``_bind``), and looking a name up on this module
+#: from outside binds it too (``__getattr__``).  So ``apply`` never imports
+#: these modules, and a name set on this module from outside, such as a
+#: test's stand-in or a tracing wrapper, is the one the subcommands call.
+_LAZY = {
+    "diagnostics": (
+        "classify_compactness",
+        "l1_criterion_integral",
+        "l1_operator_norm",
+        "lp_to_linf_norm",
+        "verify_scaling",
+        "verify_semigroup",
+        "witness_separation",
+    ),
+    "entropy": ("build_example_estimate", "family_name", "fit_rate"),
+    "spectral": (
+        "OperatorMatrix",
+        "_check_dense_size",
+        "_spectrum_text",
+        "approximation_numbers",
+        "assemble_matrix",
+        "singular_values",
+    ),
+}
+
+
+def _bind(module: str) -> None:
+    """Import ``module`` and bind those of its ``_LAZY`` names not bound yet."""
+    qualified = f"{__package__}.{module}"
+    # the import statement's path, unlike importlib's, shows in -X importtime
+    __import__(qualified)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(sys.modules[qualified], name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -201,6 +229,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    _bind("diagnostics")
     alpha = parse_alpha(args.alpha)
     check = args.check
     if check == "l1criterion":
@@ -216,6 +245,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    _bind("spectral")
     if (args.alpha is None) == (args.matrix is None):
         raise ValueError("spectrum needs exactly one of --alpha and --matrix")
     if args.matrix is not None:
@@ -279,6 +309,7 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def cmd_entropy(args) -> int:
+    _bind("entropy")
     alpha = parse_alpha(args.alpha)
     family = family_name(alpha)
     grid = parse_ngrid(args.n_grid)
@@ -325,6 +356,7 @@ def _identity_pass(coarse: float, fine: float) -> bool:
 def _verify_identities(alpha: OrderFunction, n_cells: int) -> dict:
     if n_cells > MAX_N_CELLS:
         raise ValueError(f"--n-cells is capped at {MAX_N_CELLS}, got {n_cells}")
+    _bind("diagnostics")
     f = parse_f("cos3")
     sg1 = verify_semigroup(alpha, 0.5, f, n_cells)
     sg2 = verify_semigroup(alpha, 0.5, f, 2 * n_cells)
@@ -340,6 +372,7 @@ def _verify_identities(alpha: OrderFunction, n_cells: int) -> dict:
 
 
 def _verify_witness(alpha: OrderFunction, p: float, n_max: int) -> dict:
+    _bind("diagnostics")
     values = witness_separation(alpha, p, n_max)
     tail = values[-min(10, len(values)) :]
     liminf_positive = bool(np.min(tail) >= 0.5 * np.max(tail) and np.min(tail) > 0.0)
@@ -362,7 +395,7 @@ def _verify_maxbound(alpha: OrderFunction, seed: int, trials: int) -> dict:
     for _ in range(trials):
         k = int(rng.integers(3, 12))
         inner = np.sort(rng.uniform(0.05, 0.95, size=k))
-        nodes = np.unique(np.concatenate(([0.0], inner, [1.0])))
+        nodes = _sorted_unique(np.concatenate(([0.0], inner, [1.0])))
         values = rng.uniform(0.0, 2.0, size=nodes.size)
         f = GridFunction(nodes, values, "step")
         lhs = rl_values(alpha, f, targets)

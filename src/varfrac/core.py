@@ -208,6 +208,17 @@ def _gauss_panels(edges, x, w):
     return mid[:, None] + half[:, None] * x, half[:, None] * w
 
 
+def _sorted_unique(x) -> np.ndarray:
+    """The distinct values of a NaN-free float array, sorted: ``np.unique``
+    without its masked-array check, which imports ``numpy.ma`` (15-17 ms in
+    a fresh process)."""
+    s = np.sort(np.asarray(x, dtype=float), axis=None)
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """A function on an interval, stored as nodes/values with an interpretation.
@@ -340,7 +351,7 @@ class GridFunction:
         roots = self.nodes[cross] + (self.nodes[cross + 1] - self.nodes[cross]) * (
             v[cross] / (v[cross] - v[cross + 1])
         )
-        nodes = np.unique(np.concatenate((self.nodes, roots)))
+        nodes = _sorted_unique(np.concatenate((self.nodes, roots)))
         return GridFunction(nodes, np.abs(self(nodes)), "linear")
 
     def __mul__(self, c):
@@ -589,7 +600,7 @@ def besov_norm(f: GridFunction, p, smoothness: float, h_grid) -> float:
             nodes = np.concatenate(
                 (f.nodes[f.nodes < cut], f.nodes - h, [lo, cut])
             )
-            nodes = np.unique(nodes)
+            nodes = _sorted_unique(nodes)
             nodes = nodes[(nodes >= lo) & (nodes <= cut)]
             dvals = f(nodes + h) - f(nodes)
             norm = lp_norm(GridFunction(nodes, dvals, f.interpretation), p)

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import _GAUSS_W16, _GAUSS_X16, _gauss_panels
+from .core import _GAUSS_W16, _GAUSS_X16, _gauss_panels, _sorted_unique
 from .core import GridFunction, gamma, lp_norm, rl_values
 from .orders import Constant, OrderFunction, Shifted
 
@@ -162,7 +162,7 @@ def _octave_edges(lo: float, hi: float, extra=()) -> np.ndarray:
     edges[0] = lo
     pts = [p for p in extra if lo < p < hi]
     if pts:
-        edges = np.unique(np.concatenate((edges, np.asarray(pts, dtype=float))))
+        edges = _sorted_unique(np.concatenate((edges, np.asarray(pts, dtype=float))))
     return edges
 
 
@@ -289,7 +289,7 @@ def lp_to_linf_norm(alpha: OrderFunction, p: float) -> NormReport:
     running = 0.0
     bp = [b for b in alpha.breakpoints if 0.0 < b < 1.0]
     for eps in TRUNCATION_EPSILONS:
-        grid = np.unique(
+        grid = _sorted_unique(
             np.concatenate(
                 (
                     np.geomspace(eps, 1.0, 257),
@@ -436,7 +436,7 @@ def verify_semigroup(
     gexp = 2.0 / min(beta, 1.0)
     gexp = min(gexp, 8.0)
     nodes = hi * (np.arange(n_cells + 1) / n_cells) ** gexp
-    nodes = np.unique(np.concatenate((nodes, f.nodes)))
+    nodes = _sorted_unique(np.concatenate((nodes, f.nodes)))
     g = GridFunction(nodes, rl_values(Constant(beta), f, nodes))
     rhs = rl_values(alpha, g, targets)
     return float(np.max(np.abs(lhs - rhs)))
@@ -480,7 +480,7 @@ def verify_scaling(
     lhs = r ** (1.0 / q) * rl_values(alpha, jp, r * targets)
 
     grid = (np.arange(n_cells + 1) / n_cells) ** 4
-    nodes = np.unique(np.concatenate((grid, f.nodes)))
+    nodes = _sorted_unique(np.concatenate((grid, f.nodes)))
     g = GridFunction(nodes, rl_values(rescaled, f, nodes))
     multiplier = r ** (np.asarray(rescaled.eval(targets)) + 1.0 / q - 1.0 / p)
     rhs = multiplier * g(targets)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -124,12 +125,25 @@ class RateFit:
         return asdict(self)
 
 
+class _BoundRangeError(ValueError):
+    """A bound that is not a normal double, at row ``position`` of ``column``."""
+
+    def __init__(self, column: str, position: int, value: float, where: str):
+        self.column, self.position, self.value = column, position, value
+        super().__init__(
+            f"{column} bound at {where} is {value!r}; bounds must be finite and at "
+            f"least {sys.float_info.min!r}, the smallest normal double"
+        )
+
+
 @dataclass(frozen=True)
 class EntropyEstimate:
     """Per-index entropy bracket for one family.
 
     lower may be None for families with no prescribed lower construction.
-    All stored values are shape values (constants set to 1).
+    All stored values are shape values (constants set to 1).  Every value
+    must be a normal double, finite and at least ``sys.float_info.min``: a
+    subnormal one has lost digits.
     """
 
     n_values: tuple[int, ...]
@@ -139,29 +153,25 @@ class EntropyEstimate:
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.n_values)
-        up = tuple(float(v) for v in self.upper)
-        if len(up) != len(ns):
-            raise ValueError("upper must align with n_values")
-        if any(v <= 0.0 or not math.isfinite(v) for v in up):
-            raise ValueError("bound values must be positive and finite")
-        lo = self.lower
-        if lo is not None:
-            lo = tuple(float(v) for v in lo)
-            if len(lo) != len(ns):
-                raise ValueError("lower must align with n_values")
-            if any(v <= 0.0 or not math.isfinite(v) for v in lo):
-                raise ValueError("bound values must be positive and finite")
-            if any(a > b for a, b in zip(lo, up)):
-                raise ValueError("lower bound exceeds upper bound")
-        pred = self.predicted
-        if pred is not None:
-            pred = tuple(float(v) for v in pred)
-            if len(pred) != len(ns):
-                raise ValueError("predicted must align with n_values")
+        columns = {"upper": tuple(float(v) for v in self.upper)}
+        for name in ("lower", "predicted"):
+            values = getattr(self, name)
+            columns[name] = None if values is None else tuple(float(v) for v in values)
+        for name, values in columns.items():
+            if values is not None and len(values) != len(ns):
+                raise ValueError(f"{name} must align with n_values")
+        for i, n in enumerate(ns):
+            for name, values in columns.items():
+                if values is not None and not (
+                    math.isfinite(values[i]) and values[i] >= sys.float_info.min
+                ):
+                    raise _BoundRangeError(name, i, values[i], f"n = {n}")
+        up, lo = columns["upper"], columns["lower"]
+        if lo is not None and any(a > b for a, b in zip(lo, up)):
+            raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "n_values", ns)
-        object.__setattr__(self, "upper", up)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "predicted", pred)
+        for name, values in columns.items():
+            object.__setattr__(self, name, values)
 
     def csv_text(self) -> str:
         """The bracket as CSV: n,lower,upper,predicted, absent columns left empty."""
@@ -457,12 +467,16 @@ def build_example_estimate(
         if "lower" in radii:
             lows.append(formula_lower(alpha, radii["lower"], idx, p, q))
         preds.append(predict_rate(alpha, idx, p, q)["upper"])
-    return EntropyEstimate(
-        n_values=tuple(idx for _, idx, _, _ in plan),
-        lower=tuple(lows) if lows else None,
-        upper=tuple(ups),
-        predicted=tuple(preds),
-    )
+    try:
+        return EntropyEstimate(
+            n_values=tuple(idx for _, idx, _, _ in plan),
+            lower=tuple(lows) if lows else None,
+            upper=tuple(ups),
+            predicted=tuple(preds),
+        )
+    except _BoundRangeError as exc:
+        n = plan[exc.position][0]
+        raise _BoundRangeError(exc.column, exc.position, exc.value, f"grid value {n}") from None
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from varfrac.core import (
     NumericalError,
     _blocks,
     _lanczos_sum,
+    _sorted_unique,
     besov_norm,
     gamma,
     lp_norm,
@@ -390,6 +391,28 @@ class TestGridFunction:
     def test_rejects_nan_node(self, nodes):
         with pytest.raises(ValueError, match="nodes"):
             GridFunction(nodes, (1.0, 2.0, 1.0))
+
+
+class TestSortedUnique:
+    """``_sorted_unique`` is ``np.unique`` on NaN-free floats, value for value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False), max_size=40),
+        st.lists(st.integers(0, 39), max_size=40),
+    )
+    def test_matches_np_unique(self, values, repeats):
+        # repeats copy drawn entries, so equal values are common, and the
+        # draw order leaves the input unsorted
+        x = np.array(values + [values[i] for i in repeats if i < len(values)], dtype=float)
+        got = _sorted_unique(x)
+        want = np.unique(x)
+        assert got.shape == want.shape
+        assert np.all(got == want)
+
+    def test_flattens_like_np_unique(self):
+        x = np.array([[3.0, 1.0], [1.0, -0.0], [0.0, 3.0]])
+        assert np.all(_sorted_unique(x) == np.unique(x))
 
 
 # -- slow references ----------------------------------------------------------

@@ -2,6 +2,7 @@
 prescribed radii, rate predictions, and the regression fits tying them together."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -518,6 +519,42 @@ class TestEstimateValidation:
             EntropyEstimate(n_values=(8,), lower=None, upper=(0.0,))
         with pytest.raises(ValueError):
             EntropyEstimate(n_values=(8,), lower=None, upper=(math.inf,))
+
+    @pytest.mark.parametrize("column", ["upper", "lower", "predicted"])
+    def test_subnormal_values_rejected(self, column):
+        # a subnormal double has lost digits, so it is no bound
+        tiny = sys.float_info.min
+        row = {"n_values": (8, 16), "lower": (tiny, tiny), "upper": (1.0, 1.0),
+               "predicted": (tiny, tiny)}
+        EntropyEstimate(**row)
+        row[column] = (tiny, tiny / 2)
+        with pytest.raises(ValueError, match=f"{column} bound at n = 16 is 1.1125"):
+            EntropyEstimate(**row)
+
+
+class TestNormalRange:
+    """The last grid value 2^k of ``--n-grid 2^k..2^k`` whose bounds are all
+    normal doubles, per family: the next power exits with the grid value and
+    the column that left the range."""
+
+    @pytest.mark.parametrize(
+        "alpha, last",
+        [
+            (PowerOffset(3.0, 1.0, 1.0), 331),
+            (LogPowerOffset(2.0, 1.0, 1.0), 473),
+            (ExpOffset(2.0, 1.0, 1.0), 507),
+            (PowerOffset(1.2, 1.0, 1.0), 840),
+        ],
+    )
+    def test_last_grid_value_with_normal_bounds(self, alpha, last):
+        est = build_example_estimate(alpha, [2**last])
+        assert min(est.lower + est.upper + est.predicted) >= sys.float_info.min
+        with pytest.raises(ValueError, match=f"lower bound at grid value {2 ** (last + 1)} "):
+            build_example_estimate(alpha, [2 ** (last + 1)])
+
+    def test_threshold_family_normal_up_to_the_cli_cap(self):
+        est = build_example_estimate(EX4, [2**1023])
+        assert min(est.upper + est.predicted) >= sys.float_info.min
 
 
 class TestFitRate:

@@ -113,6 +113,7 @@ REJECTED = (
     "apply --alpha ex2:nan,1,1 --targets 0.5",
     "apply --alpha ex3:0.5,1,inf --targets 0.5",
     "apply --alpha ex4:0 --targets 0.5",
+    "entropy --alpha ex1:3,1,1 --n-grid 2^349..2^349",
 )
 
 
