@@ -17,11 +17,9 @@ import sys
 
 __version__ = "0.1.0"
 
-#: the submodules that make up the namespace, in the order they are imported
-_MODULES = ("core", "diagnostics", "entropy", "orders", "spectral")
-
-#: the order of the export list
-_EXPORT_ORDER = ("orders", "core", "diagnostics", "spectral", "entropy")
+#: the submodules that make up the namespace, in the order of the export
+#: list and of the search for an exported name
+_MODULES = ("orders", "core", "diagnostics", "spectral", "entropy")
 
 
 def _module(name: str):
@@ -35,8 +33,7 @@ def __getattr__(name: str):
     if name in _MODULES:
         return _module(name)
     if name == "__all__":
-        modules = {m: _module(m) for m in _MODULES}
-        value = ["__version__", *(n for m in _EXPORT_ORDER for n in modules[m].__all__)]
+        value = ["__version__", *(n for m in _MODULES for n in _module(m).__all__)]
     else:
         for m in _MODULES:
             module = _module(m)

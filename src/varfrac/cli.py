@@ -19,14 +19,16 @@ import sys
 
 import numpy as np
 
-from ._csvio import atomic_write_text, read_table
+from . import _module
 from .core import (
     GridFunction,
     K0,
     NumericalError,
     _sorted_unique,
+    atomic_write_text,
     maximal_values,
     q_values,
+    read_table,
     rl_values,
 )
 from .orders import (
@@ -73,11 +75,9 @@ _LAZY = {
 
 def _bind(module: str) -> None:
     """Import ``module`` and bind those of its ``_LAZY`` names not bound yet."""
-    qualified = f"{__package__}.{module}"
-    # the import statement's path, unlike importlib's, shows in -X importtime
-    __import__(qualified)
+    source = _module(module)
     for name in _LAZY[module]:
-        globals().setdefault(name, getattr(sys.modules[qualified], name))
+        globals().setdefault(name, getattr(source, name))
 
 
 def __getattr__(name: str):

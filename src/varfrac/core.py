@@ -15,21 +15,20 @@ Also provides the gamma function, evaluated over whole arrays by a numpy
 port of the Lanczos approximation that CPython's math.gamma uses, together
 with its global minimum K0; exact L_p norms of grid functions; the
 Hardy-Littlewood maximal function evaluated over its critical radii; a
-first-difference Besov norm; and the cell-averaging projection onto
-piecewise constants.
+first-difference Besov norm; the cell-averaging projection onto piecewise
+constants; and the CSV reader and atomic writer of the package's files.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-
-from ._csvio import atomic_write_text, read_table
 
 if TYPE_CHECKING:
     # annotations only: orders builds Tabulated on GridFunction and imports core
@@ -196,7 +195,12 @@ def gamma(x):
     return r.reshape(arr.shape)
 
 
-_GAUSS_X16, _GAUSS_W16 = leggauss(16)
+@cache
+def _gauss16():
+    """16-point Gauss-Legendre on [-1, 1], built on first use (numpy.polynomial: ~5 ms)."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(16)
 
 
 def _gauss_panels(edges, x, w):
@@ -206,6 +210,12 @@ def _gauss_panels(edges, x, w):
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     return mid[:, None] + half[:, None] * x, half[:, None] * w
+
+
+def _panel_gauss(fn, edges) -> float:
+    """16-point Gauss on each cell of a sorted edge array, summed."""
+    x, w = _gauss_panels(edges, *_gauss16())
+    return float(np.sum(w * fn(x)))
 
 
 def _sorted_unique(x) -> np.ndarray:
@@ -513,9 +523,7 @@ def lp_norm(f: GridFunction, p) -> float:
     if p == 2.0:
         return float(np.sqrt(np.dot(h, (v0 * v0 + v0 * v1 + v1 * v1) / 3.0)))
     g = abs(f)
-    x, w = _gauss_panels(g.nodes, _GAUSS_X16, _GAUSS_W16)
-    vals = np.interp(x, g.nodes, g.values)
-    return float(np.sum(w * vals**p) ** (1.0 / p))
+    return _panel_gauss(lambda x: np.interp(x, g.nodes, g.values) ** p, g.nodes) ** (1.0 / p)
 
 
 # -- maximal function ---------------------------------------------------------
@@ -617,3 +625,62 @@ def project_average(f: GridFunction, n: int) -> GridFunction:
     cum = f.cumulative_at(edges)
     means = np.diff(cum) / np.diff(edges)
     return GridFunction(edges, np.append(means, means[-1]), "step")
+
+
+# -- CSV files ----------------------------------------------------------------
+# Every CSV file the package reads (order tables, grid functions, operator
+# matrices) follows one set of rules: blank lines are skipped, '#' lines are
+# comments and a `# key=value` comment is a directive, rows that are not all
+# numbers are headers while no data row has been read, and such a row after
+# the first data row is an error naming path:line.
+
+
+def read_table(path, columns: int | None = None) -> tuple[np.ndarray, dict[str, str]]:
+    """Numeric rows of a CSV file as a 2-D array, and its `# key=value` directives.
+
+    Every data row must have `columns` fields, or as many as the first data
+    row when columns is None; ValueError names path:line otherwise.  A file
+    without data rows gives an array with no rows.
+    """
+    rows: list[list[float]] = []
+    directives: dict[str, str] = {}
+    width = columns
+    with open(path, newline="") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, eq, val = line[1:].partition("=")
+                if eq:
+                    directives[key.strip()] = val.strip()
+                continue
+            try:
+                row = [float(x) for x in line.split(",")]
+            except ValueError:
+                if not rows:
+                    continue
+                raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}") from None
+            if width is None:
+                width = len(row)
+            if len(row) != width:
+                raise ValueError(f"{path}:{lineno}: need {width} columns, got {len(row)}")
+            rows.append(row)
+    return np.asarray(rows, dtype=float).reshape(len(rows), width or 0), directives
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write via a temp file + rename so failures never leave partial output."""
+    path = os.fspath(path)
+    d = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    try:
+        with os.fdopen(fd, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise

@@ -23,8 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import _GAUSS_W16, _GAUSS_X16, _gauss_panels, _sorted_unique
-from .core import GridFunction, gamma, lp_norm, rl_values
+from .core import GridFunction, _panel_gauss, _sorted_unique, gamma, lp_norm, rl_values
 from .orders import Constant, OrderFunction, Shifted
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "witness_separation",
     "verify_semigroup",
     "verify_scaling",
-    "local_norm_bound",
 ]
 
 # Truncation schedule with doubling exponents.  Six levels reach 1e-96 while
@@ -147,12 +145,6 @@ def divergence_trend(values) -> bool:
 
 # --------------------------------------------------------------------------
 # quadrature helpers
-
-
-def _panel_gauss(fn, edges: np.ndarray) -> float:
-    """16-point Gauss on each cell of a sorted edge array, summed."""
-    x, w = _gauss_panels(edges, _GAUSS_X16, _GAUSS_W16)
-    return float(np.sum(w * fn(x)))
 
 
 def _octave_edges(lo: float, hi: float, extra=()) -> np.ndarray:
@@ -410,6 +402,12 @@ def _check_n_cells(n_cells: int) -> None:
         raise ValueError(f"n_cells must be >= 2, got {n_cells}")
 
 
+def _resampled(alpha: OrderFunction, f: GridFunction, grid: np.ndarray) -> GridFunction:
+    """Linear interpolant of R^alpha f on a graded grid joined with f's nodes."""
+    nodes = _sorted_unique(np.concatenate((grid, f.nodes)))
+    return GridFunction(nodes, rl_values(alpha, f, nodes))
+
+
 def verify_semigroup(
     alpha: OrderFunction,
     beta: float,
@@ -435,9 +433,7 @@ def verify_semigroup(
 
     gexp = 2.0 / min(beta, 1.0)
     gexp = min(gexp, 8.0)
-    nodes = hi * (np.arange(n_cells + 1) / n_cells) ** gexp
-    nodes = _sorted_unique(np.concatenate((nodes, f.nodes)))
-    g = GridFunction(nodes, rl_values(Constant(beta), f, nodes))
+    g = _resampled(Constant(beta), f, hi * (np.arange(n_cells + 1) / n_cells) ** gexp)
     rhs = rl_values(alpha, g, targets)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -479,25 +475,8 @@ def verify_scaling(
     jp = GridFunction(f.nodes * r, f.values * r ** (-1.0 / p), f.interpretation)
     lhs = r ** (1.0 / q) * rl_values(alpha, jp, r * targets)
 
-    grid = (np.arange(n_cells + 1) / n_cells) ** 4
-    nodes = _sorted_unique(np.concatenate((grid, f.nodes)))
-    g = GridFunction(nodes, rl_values(rescaled, f, nodes))
+    g = _resampled(rescaled, f, (np.arange(n_cells + 1) / n_cells) ** 4)
     multiplier = r ** (np.asarray(rescaled.eval(targets)) + 1.0 / q - 1.0 / p)
     rhs = multiplier * g(targets)
     return float(np.max(np.abs(lhs - rhs)))
 
-
-def local_norm_bound(alpha: OrderFunction, r: float) -> float:
-    """Norm bound for the operator restricted to (0, r], near endpoint zero.
-
-    The sup over 0 < t <= r of (2t)^alpha(t), the maximal-function route
-    with constant 1; it vanishes with r exactly when the embedding at 0 is
-    compact.  The sup is scanned on a geometric grid reaching t = r * 2^-200;
-    for tiny r the points that underflow to 0 are dropped.
-    """
-    if not (0.0 < r <= 1.0):
-        raise ValueError(f"need 0 < r <= 1, got {r}")
-    t = r * 2.0 ** -np.arange(0, 201, dtype=float)
-    t = t[t > 0.0]
-    a = np.asarray(alpha.eval(t))
-    return float(np.max(np.exp(a * np.log(2.0 * t))))

@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .diagnostics import local_norm_bound
 from .orders import ExpOffset, LogPower, LogPowerOffset, OrderFunction, PowerOffset
 
 __all__ = [
@@ -36,6 +35,7 @@ __all__ = [
     "iterated_upper",
     "example1_partition",
     "formula_lower",
+    "local_norm_bound",
     "predict_rate",
     "choose_r",
     "fit_rate",
@@ -410,6 +410,22 @@ def _matched_index(alpha: OrderFunction, n: int) -> tuple[int, PartitionPlan | N
     return n, None
 
 
+def local_norm_bound(alpha: OrderFunction, r: float) -> float:
+    """Norm bound for the operator restricted to (0, r], near endpoint zero.
+
+    The sup over 0 < t <= r of (2t)^alpha(t), the maximal-function route
+    with constant 1; it vanishes with r exactly when the embedding at 0 is
+    compact.  The sup is scanned on a geometric grid reaching t = r * 2^-200;
+    for tiny r the points that underflow to 0 are dropped.
+    """
+    if not (0.0 < r <= 1.0):
+        raise ValueError(f"need 0 < r <= 1, got {r}")
+    t = r * 2.0 ** -np.arange(0, 201, dtype=float)
+    t = t[t > 0.0]
+    a = np.asarray(alpha.eval(t))
+    return float(np.max(np.exp(a * np.log(2.0 * t))))
+
+
 def build_example_estimate(
     alpha: OrderFunction,
     n_grid,
@@ -425,8 +441,9 @@ def build_example_estimate(
     bounds are evaluated at the same matched index as the upper bounds.
 
     Everything is checked before any bound is computed: the exponents (p = q
-    outside the power-offset family), then each grid value, whose matched
-    index must be at least MIN_INDEX and have the family's radii in (0, 1).
+    outside the power-offset family), then each grid value, which must
+    convert to a float and whose matched index must be at least MIN_INDEX
+    and have the family's radii in (0, 1).
     The matched index never decreases with n, so the smallest accepted grid
     value is the first one whose index reaches MIN_INDEX.
     """
@@ -442,6 +459,10 @@ def build_example_estimate(
                 f"{family} bounds start at matched index {MIN_INDEX}, "
                 f"so grid values must be at least {smallest}; got {n}"
             )
+        try:
+            float(n)
+        except OverflowError:
+            raise ValueError(f"grid value {n} does not convert to a float") from None
         idx, partition = _matched_index(alpha, n)
         radii = {}
         for side in sides:

@@ -38,8 +38,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from ._csvio import atomic_write_text
-from .core import _gauss_panels, gamma
+from .core import _gauss_panels, atomic_write_text, gamma
 from .orders import OrderFunction
 
 __all__ = [

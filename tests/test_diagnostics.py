@@ -16,7 +16,6 @@ from varfrac.diagnostics import (
     divergence_trend,
     l1_criterion_integral,
     l1_operator_norm,
-    local_norm_bound,
     lp_to_linf_norm,
     verify_scaling,
     verify_semigroup,
@@ -300,29 +299,6 @@ class TestScaling:
         for r in (0.0, 1.5):
             with pytest.raises(ValueError):
                 verify_scaling(Constant(1.0), r, 2.0, 2.0, ONE)
-
-
-class TestLocalNormBound:
-    def test_constant_endpoint_zero(self):
-        got = local_norm_bound(Constant(0.5), 0.25)
-        assert got == pytest.approx(math.sqrt(0.5), rel=1e-12)
-
-    def test_reciprocal_log_never_vanishes(self):
-        for r in (0.1, 1e-3, 1e-6):
-            assert local_norm_bound(ReciprocalLog(), r) >= math.exp(-1.0)
-
-    def test_compact_order_bound_vanishes(self):
-        vals = [
-            local_norm_bound(PowerOffset(0.5, 1.0, 2.0), r)
-            for r in (0.5, 0.05, 0.005)
-        ]
-        assert vals[0] > vals[1] > vals[2]
-        assert vals[2] < 0.1
-
-    def test_rejects_radius_outside_unit_interval(self):
-        for r in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError, match="need 0 < r <= 1"):
-                local_norm_bound(Constant(0.5), r)
 
 
 class TestStabilityInvariants:

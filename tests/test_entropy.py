@@ -20,6 +20,7 @@ from varfrac.entropy import (
     fit_rate,
     formula_lower,
     iterated_upper,
+    local_norm_bound,
     predict_rate,
     two_block_upper,
 )
@@ -221,6 +222,29 @@ class TestFormulaLower:
             assert formula_lower(alpha, r, n) == n**-a1 * r ** (a1 + 0.5 - 0.5)
 
 
+class TestLocalNormBound:
+    def test_constant_endpoint_zero(self):
+        got = local_norm_bound(Constant(0.5), 0.25)
+        assert got == pytest.approx(math.sqrt(0.5), rel=1e-12)
+
+    def test_reciprocal_log_never_vanishes(self):
+        for r in (0.1, 1e-3, 1e-6):
+            assert local_norm_bound(ReciprocalLog(), r) >= math.exp(-1.0)
+
+    def test_compact_order_bound_vanishes(self):
+        vals = [
+            local_norm_bound(PowerOffset(0.5, 1.0, 2.0), r)
+            for r in (0.5, 0.05, 0.005)
+        ]
+        assert vals[0] > vals[1] > vals[2]
+        assert vals[2] < 0.1
+
+    def test_rejects_radius_outside_unit_interval(self):
+        for r in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="need 0 < r <= 1"):
+                local_norm_bound(Constant(0.5), r)
+
+
 class TestFamilies:
     def test_family_name_mapping(self):
         assert family_name(EX1) == "Example1"
@@ -416,8 +440,6 @@ class TestBuildEstimate:
         )
 
     def test_threshold_upper_matches_components(self):
-        from varfrac.diagnostics import local_norm_bound
-
         n = 256
         est = build_example_estimate(EX4, [n])
         alpha = LogPower(0.5)
@@ -429,6 +451,12 @@ class TestBuildEstimate:
         # r = 1/n, so the scan's t = r * 2^-200 falls below the smallest double
         est = build_example_estimate(EX4, [2**900, 2**1000])
         assert all(math.isfinite(u) and u > 0.0 for u in est.upper)
+
+    @pytest.mark.parametrize("alpha", [EX1, EX2, EX3, EX4], ids=["ex1", "ex2", "ex3", "ex4"])
+    def test_grid_value_past_the_floats_names_it(self, alpha):
+        # 2^1024 is one past the largest double; the first grid value is fine
+        with pytest.raises(ValueError, match=f"grid value {2**1024} does not convert to a float"):
+            build_example_estimate(alpha, [64, 2**1024])
 
     def test_predicted_to_upper_ratio_window(self, ex1_desk):
         # asymptotic constants still drain at desk scale, but stay within

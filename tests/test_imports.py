@@ -14,13 +14,15 @@ import varfrac.cli as cli
 SRC = os.path.dirname(os.path.dirname(varfrac.__file__))
 
 # after the code runs, prints the loaded varfrac modules and whether numpy.ma
-# is loaded, as one JSON line on stderr (stdout carries the CLI's output)
+# and numpy.polynomial are loaded, as one JSON line on stderr (stdout carries
+# the CLI's output)
 REPORT = (
     "print(json.dumps({'varfrac': sorted(m for m in sys.modules if m.startswith('varfrac')),"
-    " 'numpy.ma': 'numpy.ma' in sys.modules}), file=sys.stderr)"
+    " 'numpy.ma': 'numpy.ma' in sys.modules,"
+    " 'numpy.polynomial': 'numpy.polynomial' in sys.modules}), file=sys.stderr)"
 )
 
-SHELL = ["varfrac", "varfrac._csvio", "varfrac.cli", "varfrac.core", "varfrac.orders"]
+SHELL = ["varfrac", "varfrac.cli", "varfrac.core", "varfrac.orders"]
 
 
 def fresh_process(code: str, *argv: str) -> dict:
@@ -39,8 +41,12 @@ def test_import_loads_no_submodule():
 
 def test_submodule_import_loads_its_dependencies_only():
     loaded = fresh_process("from varfrac import core, spectral")["varfrac"]
-    assert loaded == ["varfrac", "varfrac._csvio", "varfrac.core", "varfrac.orders",
-                      "varfrac.spectral"]
+    assert loaded == ["varfrac", "varfrac.core", "varfrac.orders", "varfrac.spectral"]
+
+
+def test_name_lookup_loads_only_the_modules_searched():
+    loaded = fresh_process("from varfrac import Constant")["varfrac"]
+    assert loaded == ["varfrac", "varfrac.core", "varfrac.orders"]
 
 
 @pytest.mark.parametrize(
@@ -52,7 +58,7 @@ def test_submodule_import_loads_its_dependencies_only():
         (["spectrum", "--alpha", "const:0.5", "--n", "8"], ["varfrac.spectral"]),
         (
             ["entropy", "--alpha", "ex1:0.5,1,1", "--n-grid", "2^6..2^7"],
-            ["varfrac.diagnostics", "varfrac.entropy"],
+            ["varfrac.entropy"],
         ),
     ],
 )
@@ -61,6 +67,10 @@ def test_subcommand_loads_only_what_it_runs(argv, extra):
     assert report["varfrac"] == sorted(SHELL + extra)
     # np.unique imports numpy.ma on its first call, 15-17 ms of a cold start
     assert not report["numpy.ma"]
+    # numpy.polynomial (about 5 ms) serves spectral's and the diagnostics'
+    # Gauss rules, which these subcommands never use
+    if "varfrac.spectral" not in extra:
+        assert not report["numpy.polynomial"]
 
 
 def test_dir_lists_every_export():
