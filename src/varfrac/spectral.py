@@ -15,11 +15,16 @@ them, whose nearest singularity is too close for one 8-point panel, use
 composite 8-point Gauss on panels graded toward the piece's left edge;
 every other column is analytic well beyond the piece and uses plain
 8-point Gauss.
-Pieces are processed in blocks, with alpha, gamma and the weights evaluated
-once per block.  Distances are taken in units of h from the left edge of
-I_i, and every entry is summed along the points axis in one fixed order, so
-a constant order gives an exactly Toeplitz matrix (entry (i, j) depends on
-i - j alone, bit for bit).
+Distances are taken in units of h from the left edge of I_i, and every
+entry is summed over the points in one fixed order, so an entry depends on
+alpha only through its samples at the piece's nodes.  When no breakpoint
+splits a cell and every cell's samples equal the last cell's, as for a
+constant order, every row is the last row shifted: that row alone is
+computed and the matrix is exactly Toeplitz (entry (i, j) depends on i - j
+alone, bit for bit).  Otherwise pieces are processed in blocks, with gamma
+and the weights evaluated once per block.  The far moments are laid out
+points-major, and their 8 point slabs are added in numpy's own pairwise
+order, so both paths give the bits of a sum along the points axis.
 
 Singular values of this matrix are the approximation numbers of the
 discretized operator for p = q = 2.  approximation_numbers assembles only
@@ -63,11 +68,21 @@ _PLAIN = _gauss_panels([0.0, 1.0], _X8, _W8)
 _CORNER = _GRADED[0].size
 _NODES = np.append(_GRADED[0], _PLAIN[0])
 _WEIGHTS = np.append(_GRADED[1], _PLAIN[1])
+_TINY = np.finfo(float).tiny
 
-#: pieces per block: alpha, gamma and the weights are evaluated once per
-#: block.  Its (pieces x cells x 8) temporaries take 1 KiB per cell; 16
-#: halves them against 32 and runs within 10% of it.
+#: pieces per block: gamma and the weights are evaluated once per block.
+#: Its (pieces x 8 x cells) temporaries take 1 KiB per cell.  Timed on
+#: PowerOffset and LogPowerOffset orders (one CPU, one BLAS thread,
+#: interleaved): at n = 256, 32 ran 5% faster than 16 in 85-89% of 150
+#: pairs and 64 ran 9-15% slower; at n = 2048 the three were within 10%
+#: in no fixed order.  16 keeps the temporaries at half of 32's.
 _BLOCK = 16
+
+#: cells per alpha.eval call when every node is evaluated up front: their
+#: temporaries stay near 100 KiB each.  One call over all cells raised the
+#: peak RSS of 60 approximation_numbers(., 16, 128) calls by 0.6 MB, and
+#: 16 cells per call made a constant order's n = 256 assembly 10% slower.
+_EVAL_CELLS = 64
 
 #: largest matrix whose dense singular spectrum the package computes
 _DENSE_CAP = 4096
@@ -155,11 +170,23 @@ def assemble_matrix(
     piece's left edge, and so does d = 2: its singularity at Gauss
     coordinate -3 leaves one 8-point panel a relative error of up to 1e-12.
     The columns d >= 3 have theirs at -5 or further and use plain 8-point
-    Gauss.  Pieces run in blocks of _BLOCK, with alpha, gamma and the
-    weights evaluated once per block.  Each entry is summed along the
-    contiguous points axis in one fixed order, so for a constant order
-    entry (i, j) depends on i - j alone: the matrix is exactly
-    lower-triangular Toeplitz and its diagonal exactly flat.
+    Gauss.  Each entry is summed over the points in one fixed order
+    (_moments), so it depends on alpha only through the samples at its
+    nodes.
+
+    With no breakpoint inside a cell, alpha is evaluated once at each of
+    the n x 208 nodes, _EVAL_CELLS cells per call.  If every cell's samples equal the last cell's (exact
+    ==, on the samples, whatever the order's type), every row holds the
+    moments of the last one: that row alone is computed, with span n - 1,
+    and row i is its first i + 1 moments reversed.  A constant order takes
+    this path, and its matrix is exactly lower-triangular Toeplitz with an
+    exactly flat diagonal.  Otherwise pieces run in blocks of _BLOCK, with
+    gamma and the weights evaluated once per block (and alpha too when a
+    breakpoint splits a cell).  Both paths give the bits of the blocked
+    loop.
+
+    Raises ValueError, naming n and the largest order sample, when a
+    weight is not a positive normal double or a moment is not finite.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -177,39 +204,96 @@ def assemble_matrix(
         i = int(np.searchsorted(edges, b, side="right")) - 1
         if 0 <= i < n and edges[i] < b:
             cuts.setdefault(i, []).append((b - edges[i]) / h)
-    pieces = [
-        (i, lo, hi) for i in range(n) for lo, hi in pairwise([0.0, *sorted(cuts.get(i, ())), 1.0])
-    ]
-    cell, lo, hi = (np.array(col) for col in zip(*pieces))
+    if cuts:
+        pieces = [
+            (i, lo, hi)
+            for i in range(n)
+            for lo, hi in pairwise([0.0, *sorted(cuts.get(i, ())), 1.0])
+        ]
+        cell, lo, hi = (np.array(col) for col in zip(*pieces))
+        samples = None
+    else:
+        # every piece is a whole cell, and alpha is evaluated once per node
+        cell, lo, hi = np.arange(n), np.zeros(n), np.ones(n)
+        samples = np.empty((n, _NODES.size))
+        cells, offsets = edges[:-1, None], h * _NODES
+        for c in range(0, n, _EVAL_CELLS):
+            samples[c : c + _EVAL_CELLS] = alpha.eval(cells[c : c + _EVAL_CELLS] + offsets)
 
     entries = np.zeros((n, n))
-    for blk in range(0, cell.size, _BLOCK):
-        rows = cell[blk : blk + _BLOCK]
-        base = lo[blk : blk + _BLOCK, None]
-        width = hi[blk : blk + _BLOCK, None] - base
-        x = base + width * _NODES
-        a = np.asarray(alpha.eval(edges[rows, None] + h * x))
-        w = h ** (a + 1.0) * (width * _WEIGHTS) / (a * gamma(a))
-        # weighted moment sums by distance d = i - j: the near columns
-        # d = 0, 1, 2 on the graded nodes, d >= 3 on the plain ones
-        span = max(int(rows[-1]), 2)
-        mom = np.empty((rows.size, span + 1))
-        xc, ac, wc = x[:, :_CORNER], a[:, :_CORNER], w[:, :_CORNER]
-        corner = np.power(xc, ac)
-        first = np.power(1.0 + xc, ac)
-        mom[:, 0] = np.sum(corner * wc, axis=1)
-        mom[:, 1] = np.sum((first - corner) * wc, axis=1)
-        mom[:, 2] = np.sum((np.power(2.0 + xc, ac) - first) * wc, axis=1)
-        xf, af, wf = x[:, None, _CORNER:], a[:, None, _CORNER:], w[:, None, _CORNER:]
-        far = np.arange(2.0, span + 1.0)[:, None] + xf
-        np.power(far, af, out=far)
-        far = far[:, 1:] - far[:, :-1]
-        far *= wf
-        mom[:, 3:] = np.sum(far, axis=2)
-        for k, i in enumerate(rows.tolist()):
-            entries[i, : i + 1] += mom[k, i::-1]
+    # an entry depends on alpha only through its samples, so when every
+    # cell's samples equal the last cell's, every row holds the last row's
+    # moments and only that row is computed
+    if samples is not None and np.all(samples == samples[-1]):
+        mom = _weighted_moments(_NODES[None], samples[-1:], 1.0, h, max(n - 1, 2), n)[0]
+        for i in range(n):
+            entries[i, : i + 1] = mom[i::-1]
+    else:
+        for blk in range(0, cell.size, _BLOCK):
+            rows = cell[blk : blk + _BLOCK]
+            base = lo[blk : blk + _BLOCK, None]
+            width = hi[blk : blk + _BLOCK, None] - base
+            x = base + width * _NODES
+            if samples is None:
+                a = np.asarray(alpha.eval(edges[rows, None] + h * x))
+            else:
+                a = samples[blk : blk + _BLOCK]
+            mom = _weighted_moments(x, a, width, h, max(int(rows[-1]), 2), n)
+            for k, i in enumerate(rows.tolist()):
+                entries[i, : i + 1] += mom[k, i::-1]
     entries *= prefactor
     return OperatorMatrix(n=n, r=r, p=p, q=q, entries=entries)
+
+
+def _weighted_moments(x, a, width, h, span, n) -> np.ndarray:
+    """_moments with the weights h^(a+1) width W / (a Gamma(a)) of the outer rule.
+
+    Raises ValueError, naming n and the largest order sample, when a weight
+    is not a positive normal double or a moment is not finite: a large order
+    takes h^(a+1) / Gamma(a) below the doubles (the entries would print as
+    zeros, or lose digits on subnormal weights) and (d + x)^a above them.
+    """
+    # the checks below catch every overflow and NaN, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = h ** (a + 1.0) * (width * _WEIGHTS) / (a * gamma(a))
+        if np.min(w) >= _TINY and np.max(w) < math.inf:
+            mom = _moments(x, a, w, span)
+            if np.all(np.isfinite(mom)):
+                return mom
+    raise ValueError(
+        f"order samples up to {float(np.max(a))!r} at n = {n} take the matrix "
+        "weights or kernel moments out of the normal double range"
+    )
+
+
+def _moments(x, a, w, span) -> np.ndarray:
+    """Weighted kernel moment sums by distance d = 0..span, one row per piece.
+
+    x, a and w are (pieces x 208) nodes, order samples and weights.  The
+    near columns d = 0, 1, 2 sum over the 200 graded nodes along the
+    contiguous points axis; the far columns d >= 3 run points-major, as
+    (pieces x 8 points x distances) arrays, so every ufunc loop runs along
+    the distances, and add the 8 point slabs as
+    ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)), numpy's own pairwise
+    order for an 8-term sum: the same bits as summing along the points axis.
+    """
+    mom = np.empty((x.shape[0], span + 1))
+    xc, ac, wc = x[:, :_CORNER], a[:, :_CORNER], w[:, :_CORNER]
+    corner = np.power(xc, ac)
+    first = np.power(1.0 + xc, ac)
+    mom[:, 0] = np.sum(corner * wc, axis=1)
+    mom[:, 1] = np.sum((first - corner) * wc, axis=1)
+    mom[:, 2] = np.sum((np.power(2.0 + xc, ac) - first) * wc, axis=1)
+    far = x[:, _CORNER:, None] + np.arange(2.0, span + 1.0)
+    np.power(far, a[:, _CORNER:, None], out=far)
+    far = far[..., 1:] - far[..., :-1]
+    far *= w[:, _CORNER:, None]
+    left = far[:, 0] + far[:, 1]
+    left += far[:, 2] + far[:, 3]
+    right = far[:, 4] + far[:, 5]
+    right += far[:, 6] + far[:, 7]
+    np.add(left, right, out=mom[:, 3:])
+    return mom
 
 
 def _check_dense_size(n: int) -> None:

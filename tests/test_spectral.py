@@ -2,6 +2,7 @@
 
 import json
 import math
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from varfrac.orders import (
     Constant,
     ExpOffset,
     LogPowerOffset,
+    OrderFunction,
     PowerOffset,
     ReciprocalLog,
     Rescaled,
@@ -128,6 +130,53 @@ def closure_entries(alpha, n: int, r: float = 1.0, p: float = 2.0, q: float = 2.
     for i in range(n):
         out[i, : i + 1] = row(i)
     return out
+
+
+def blocked_entries(alpha, n: int, r: float = 1.0, p: float = 2.0, q: float = 2.0):
+    """assemble_matrix's loop before the one-row path: every piece in blocks
+    of 16, alpha evaluated per block, and the far moments summed along the
+    points axis of (pieces x distances x 8) arrays.  The slow reference the
+    assembly must match bit for bit."""
+    nodes, weights, corner_nodes = spectral._NODES, spectral._WEIGHTS, spectral._CORNER
+    h = r / n
+    prefactor = (n / r) ** (1.0 / p - 1.0 / q + 1.0)
+    edges = h * np.arange(n + 1)
+    cuts: dict[int, list[float]] = {}
+    for b in alpha.breakpoints:
+        i = int(np.searchsorted(edges, b, side="right")) - 1
+        if 0 <= i < n and edges[i] < b:
+            cuts.setdefault(i, []).append((b - edges[i]) / h)
+    pieces = [
+        (i, lo, hi) for i in range(n) for lo, hi in pairwise([0.0, *sorted(cuts.get(i, ())), 1.0])
+    ]
+    cell, lo, hi = (np.array(col) for col in zip(*pieces))
+    entries = np.zeros((n, n))
+    for blk in range(0, cell.size, 16):
+        rows = cell[blk : blk + 16]
+        base = lo[blk : blk + 16, None]
+        width = hi[blk : blk + 16, None] - base
+        x = base + width * nodes
+        a = np.asarray(alpha.eval(edges[rows, None] + h * x))
+        w = h ** (a + 1.0) * (width * weights) / (a * gamma(a))
+        span = max(int(rows[-1]), 2)
+        mom = np.empty((rows.size, span + 1))
+        xc, ac, wc = x[:, :corner_nodes], a[:, :corner_nodes], w[:, :corner_nodes]
+        corner = np.power(xc, ac)
+        first = np.power(1.0 + xc, ac)
+        mom[:, 0] = np.sum(corner * wc, axis=1)
+        mom[:, 1] = np.sum((first - corner) * wc, axis=1)
+        mom[:, 2] = np.sum((np.power(2.0 + xc, ac) - first) * wc, axis=1)
+        xf = x[:, None, corner_nodes:]
+        af, wf = a[:, None, corner_nodes:], w[:, None, corner_nodes:]
+        far = np.arange(2.0, span + 1.0)[:, None] + xf
+        np.power(far, af, out=far)
+        far = far[:, 1:] - far[:, :-1]
+        far *= wf
+        mom[:, 3:] = np.sum(far, axis=2)
+        for k, i in enumerate(rows.tolist()):
+            entries[i, : i + 1] += mom[k, i::-1]
+    entries *= prefactor
+    return entries
 
 
 def max_relative_error(got, want, rows=None) -> float:
@@ -387,6 +436,107 @@ TABULATED_ORDERS = st.builds(
     st.lists(st.floats(0.2, 2.5), min_size=6, max_size=6),
     st.sampled_from(["linear", "step"]),
 )
+
+
+# orders that are the same on every cell: a constant, wrapped or tabulated
+FLAT_ORDERS = st.one_of(
+    st.floats(0.05, 3.0).map(Constant),
+    st.builds(Shifted, st.floats(0.05, 1.5).map(Constant), st.floats(0.05, 1.5)),
+    st.builds(Rescaled, st.floats(0.05, 3.0).map(Constant), st.floats(0.05, 1.0)),
+    st.builds(
+        lambda inner, value: Tabulated((0.0, *sorted(inner), 1.0), (value,) * (len(inner) + 2)),
+        st.lists(st.floats(0.01, 0.99), max_size=3, unique=True),
+        st.floats(0.05, 3.0),
+    ),
+)
+
+# the orders the fixed-size bit identity runs on: one-row, blocked and cut
+BIT_ORDERS = [
+    Constant(0.05),
+    Constant(2.5),
+    PowerOffset(0.5, 1.0, 2.0),
+    ExpOffset(0.5, 1.0, 1.0),
+    LogPowerOffset(0.5, 1.0, 1.0),
+    Tabulated((0.0, 0.3, 0.61, 1.0), (0.8, 0.8, 0.8, 0.8)),
+    Tabulated(*SPLIT_TABLE, "step"),
+]
+
+
+def moments_calls(monkeypatch) -> list:
+    """Record (pieces, span) of each spectral._moments call from now on."""
+    calls = []
+    inner = spectral._moments
+
+    def record(x, a, w, span):
+        calls.append((x.shape[0], span))
+        return inner(x, a, w, span)
+
+    monkeypatch.setattr(spectral, "_moments", record)
+    return calls
+
+
+class TestAssemblyPaths:
+    @given(alpha=st.one_of(CLOSURE_ORDERS, TABULATED_ORDERS, FLAT_ORDERS), n=st.integers(1, 96))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_blocked_loop_bitwise_property(self, alpha, n):
+        assert np.array_equal(assemble_matrix(alpha, n).entries, blocked_entries(alpha, n))
+
+    @pytest.mark.parametrize("alpha", BIT_ORDERS, ids=repr)
+    @pytest.mark.parametrize("n", [1, 2, 3, 256, 1024])
+    def test_matches_blocked_loop_bitwise(self, alpha, n):
+        assert np.array_equal(assemble_matrix(alpha, n).entries, blocked_entries(alpha, n))
+
+    def test_constant_order_computes_one_row(self, monkeypatch):
+        calls = moments_calls(monkeypatch)
+        assemble_matrix(Constant(0.7), 64)
+        assert calls == [(1, 63)]
+
+    def test_variable_order_runs_in_blocks(self, monkeypatch):
+        calls = moments_calls(monkeypatch)
+        assemble_matrix(PowerOffset(0.5, 1.0, 2.0), 64)
+        assert calls == [(16, 15), (16, 31), (16, 47), (16, 63)]
+
+    def test_order_evaluated_once_per_node_without_cuts(self, monkeypatch):
+        # 64 cells per call, and no node twice
+        seen = []
+
+        def counted(self, t):
+            seen.append(np.size(t))
+            return OrderFunction.eval(self, t)
+
+        monkeypatch.setattr(PowerOffset, "eval", counted)
+        assemble_matrix(PowerOffset(0.5, 1.0, 2.0), 200)
+        assert seen == [n * spectral._NODES.size for n in (64, 64, 64, 8)]
+
+
+class TestLargeOrders:
+    # h^(a+1) W / (a Gamma(a)) leaves the normal doubles at n = 256: at
+    # a = 80 the weights are subnormal, from 100 up they are zero
+    @pytest.mark.parametrize("value", [80.0, 100.0, 130.0, 200.0])
+    def test_constant_order_past_the_doubles_is_rejected(self, value):
+        with pytest.raises(ValueError, match=rf"up to {value!r} at n = 256"):
+            assemble_matrix(Constant(value), 256)
+
+    def test_rejection_in_a_block_names_the_largest_sample(self):
+        # the large value sits on cells 128.. only, so the blocked path meets it
+        alpha = Tabulated((0.0, 0.5, 1.0), (0.5, 100.0, 100.0), "step")
+        with pytest.raises(ValueError, match=r"up to 100\.0 at n = 256"):
+            assemble_matrix(alpha, 256)
+
+    def test_approximation_numbers_reject_instead_of_nan_drift(self):
+        with pytest.raises(ValueError, match=r"at n = 1024"):
+            approximation_numbers(Constant(100.0), 64)
+
+    def test_order_60_still_assembles(self):
+        m = assemble_matrix(Constant(60.0), 256)
+        assert np.all(np.diag(m.entries) > 0.0)
+
+    def test_overflowing_moment_is_rejected(self):
+        # h = 1 keeps the weights normal at a = 150, but (d + x)^150
+        # overflows once d + x passes about 113.5
+        a = np.full((1, spectral._NODES.size), 150.0)
+        with pytest.raises(ValueError, match=r"up to 150\.0 at n = 7"):
+            spectral._weighted_moments(spectral._NODES[None], a, 1.0, 1.0, 200, 7)
 
 
 class TestBlockCoarsening:

@@ -114,6 +114,10 @@ REJECTED = (
     "apply --alpha ex3:0.5,1,inf --targets 0.5",
     "apply --alpha ex4:0 --targets 0.5",
     "entropy --alpha ex1:3,1,1 --n-grid 2^349..2^349",
+    "spectrum --alpha const:80 --n 256",
+    "spectrum --alpha const:100 --n 256",
+    "spectrum --alpha const:100 --fit",
+    "spectrum --alpha const:130 --n 256",
 )
 
 
