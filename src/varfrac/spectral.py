@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import pairwise
 
 import numpy as np
 
@@ -78,7 +77,7 @@ _TINY = np.finfo(float).tiny
 #: in no fixed order.  16 keeps the temporaries at half of 32's.
 _BLOCK = 16
 
-#: cells per alpha.eval call when every node is evaluated up front: their
+#: pieces per alpha.eval call, every node being evaluated up front: their
 #: temporaries stay near 100 KiB each.  One call over all cells raised the
 #: peak RSS of 60 approximation_numbers(., 16, 128) calls by 0.6 MB, and
 #: 16 cells per call made a constant order's n = 256 assembly 10% slower.
@@ -174,19 +173,20 @@ def assemble_matrix(
     (_moments), so it depends on alpha only through the samples at its
     nodes.
 
-    With no breakpoint inside a cell, alpha is evaluated once at each of
-    the n x 208 nodes, _EVAL_CELLS cells per call.  If every cell's samples equal the last cell's (exact
-    ==, on the samples, whatever the order's type), every row holds the
-    moments of the last one: that row alone is computed, with span n - 1,
-    and row i is its first i + 1 moments reversed.  A constant order takes
-    this path, and its matrix is exactly lower-triangular Toeplitz with an
-    exactly flat diagonal.  Otherwise pieces run in blocks of _BLOCK, with
-    gamma and the weights evaluated once per block (and alpha too when a
-    breakpoint splits a cell).  Both paths give the bits of the blocked
-    loop.
+    Alpha is evaluated once at each of the 208 nodes of every piece,
+    _EVAL_CELLS pieces per call.  If no breakpoint splits a cell and every
+    cell's samples equal the last cell's (exact ==, on the samples,
+    whatever the order's type), every row holds the moments of the last
+    one: that row alone is computed, with span n - 1, and row i is its
+    first i + 1 moments reversed.  A constant order takes this path, and
+    its matrix is exactly lower-triangular Toeplitz with an exactly flat
+    diagonal.  Otherwise pieces run in blocks of _BLOCK, with gamma and the
+    weights evaluated once per block.  Both paths give the bits of the
+    blocked loop.
 
-    Raises ValueError, naming n and the largest order sample, when a
-    weight is not a positive normal double or a moment is not finite.
+    Raises ValueError, naming n and the largest order sample, when the
+    weights of a piece of unit width would not be positive normal doubles
+    or a moment is not finite.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -198,47 +198,45 @@ def assemble_matrix(
     prefactor = (n / r) ** (1.0 / p - 1.0 / q + 1.0)
     edges = h * np.arange(n + 1)
 
-    # pieces (cell, lo, hi) in local units of h: I_i split at each breakpoint inside it
-    cuts: dict[int, list[float]] = {}
+    # pieces (cell, lo, hi) in local units of h: I_i split at each breakpoint
+    # inside it.  Each cell starts a piece at 0 and each cut starts another;
+    # a piece ends where the next one starts, or at 1 when that opens a cell.
+    starts = [(i, 0.0) for i in range(n)]
     for b in alpha.breakpoints:
         i = int(np.searchsorted(edges, b, side="right")) - 1
         if 0 <= i < n and edges[i] < b:
-            cuts.setdefault(i, []).append((b - edges[i]) / h)
-    if cuts:
-        pieces = [
-            (i, lo, hi)
-            for i in range(n)
-            for lo, hi in pairwise([0.0, *sorted(cuts.get(i, ())), 1.0])
-        ]
-        cell, lo, hi = (np.array(col) for col in zip(*pieces))
-        samples = None
-    else:
-        # every piece is a whole cell, and alpha is evaluated once per node
-        cell, lo, hi = np.arange(n), np.zeros(n), np.ones(n)
-        samples = np.empty((n, _NODES.size))
-        cells, offsets = edges[:-1, None], h * _NODES
-        for c in range(0, n, _EVAL_CELLS):
-            samples[c : c + _EVAL_CELLS] = alpha.eval(cells[c : c + _EVAL_CELLS] + offsets)
+            starts.append((i, (b - edges[i]) / h))
+    starts.sort()
+    cell, lo = (np.array(col) for col in zip(*starts))
+    hi = np.where(np.append(cell[1:] != cell[:-1], True), 1.0, np.append(lo[1:], 1.0))
+    width = hi - lo
+    # alpha once at every node t = e_i + h (lo + width x), _EVAL_CELLS
+    # pieces per call, the nodes formed in place in the samples' rows
+    samples = np.empty((cell.size, _NODES.size))
+    for c in range(0, cell.size, _EVAL_CELLS):
+        part = slice(c, c + _EVAL_CELLS)
+        t = samples[part]
+        np.multiply(width[part, None], _NODES, out=t)
+        t += lo[part, None]
+        t *= h
+        t += edges[cell[part], None]
+        t[...] = alpha.eval(t)
 
     entries = np.zeros((n, n))
     # an entry depends on alpha only through its samples, so when every
-    # cell's samples equal the last cell's, every row holds the last row's
-    # moments and only that row is computed
-    if samples is not None and np.all(samples == samples[-1]):
+    # piece is a whole cell and every cell's samples equal the last cell's,
+    # every row holds the last row's moments and only that row is computed
+    if cell.size == n and np.all(samples == samples[-1]):
         mom = _weighted_moments(_NODES[None], samples[-1:], 1.0, h, max(n - 1, 2), n)[0]
         for i in range(n):
             entries[i, : i + 1] = mom[i::-1]
     else:
         for blk in range(0, cell.size, _BLOCK):
             rows = cell[blk : blk + _BLOCK]
-            base = lo[blk : blk + _BLOCK, None]
-            width = hi[blk : blk + _BLOCK, None] - base
-            x = base + width * _NODES
-            if samples is None:
-                a = np.asarray(alpha.eval(edges[rows, None] + h * x))
-            else:
-                a = samples[blk : blk + _BLOCK]
-            mom = _weighted_moments(x, a, width, h, max(int(rows[-1]), 2), n)
+            piece_width = width[blk : blk + _BLOCK, None]
+            x = lo[blk : blk + _BLOCK, None] + piece_width * _NODES
+            a = samples[blk : blk + _BLOCK]
+            mom = _weighted_moments(x, a, piece_width, h, max(int(rows[-1]), 2), n)
             for k, i in enumerate(rows.tolist()):
                 entries[i, : i + 1] += mom[k, i::-1]
     entries *= prefactor
@@ -249,14 +247,17 @@ def _weighted_moments(x, a, width, h, span, n) -> np.ndarray:
     """_moments with the weights h^(a+1) width W / (a Gamma(a)) of the outer rule.
 
     Raises ValueError, naming n and the largest order sample, when a weight
-    is not a positive normal double or a moment is not finite: a large order
-    takes h^(a+1) / Gamma(a) below the doubles (the entries would print as
-    zeros, or lose digits on subnormal weights) and (d + x)^a above them.
+    is not finite, or is below the smallest normal double times its piece's
+    width, or a moment is not finite: a large order takes h^(a+1) / Gamma(a)
+    below the doubles (the entries would print as zeros, or lose digits on
+    subnormal weights) and (d + x)^a above them.  The width scales the
+    floor because a piece only a few subnormals wide carries no mass.
     """
     # the checks below catch every overflow and NaN, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         w = h ** (a + 1.0) * (width * _WEIGHTS) / (a * gamma(a))
-        if np.min(w) >= _TINY and np.max(w) < math.inf:
+        normal = np.all(np.min(w, axis=1, keepdims=True) >= _TINY * width)
+        if normal and np.max(w) < math.inf:
             mom = _moments(x, a, w, span)
             if np.all(np.isfinite(mom)):
                 return mom

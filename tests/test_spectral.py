@@ -496,17 +496,26 @@ class TestAssemblyPaths:
         assemble_matrix(PowerOffset(0.5, 1.0, 2.0), 64)
         assert calls == [(16, 15), (16, 31), (16, 47), (16, 63)]
 
-    def test_order_evaluated_once_per_node_without_cuts(self, monkeypatch):
-        # 64 cells per call, and no node twice
+    @pytest.mark.parametrize(
+        "alpha, n, chunks",
+        [
+            (PowerOffset(0.5, 1.0, 2.0), 200, (64, 64, 64, 8)),
+            # the node at 0.3 splits cell 19 of 64, so 65 pieces
+            (Tabulated((0.0, 0.3, 1.0), (0.5, 0.9, 0.7)), 64, (64, 1)),
+        ],
+        ids=["whole-cells", "one-cut"],
+    )
+    def test_order_evaluated_once_per_node(self, monkeypatch, alpha, n, chunks):
+        # 64 pieces per call, and no node twice
         seen = []
 
         def counted(self, t):
             seen.append(np.size(t))
             return OrderFunction.eval(self, t)
 
-        monkeypatch.setattr(PowerOffset, "eval", counted)
-        assemble_matrix(PowerOffset(0.5, 1.0, 2.0), 200)
-        assert seen == [n * spectral._NODES.size for n in (64, 64, 64, 8)]
+        monkeypatch.setattr(type(alpha), "eval", counted)
+        assemble_matrix(alpha, n)
+        assert seen == [k * spectral._NODES.size for k in chunks]
 
 
 class TestLargeOrders:
@@ -526,6 +535,14 @@ class TestLargeOrders:
     def test_approximation_numbers_reject_instead_of_nan_drift(self):
         with pytest.raises(ValueError, match=r"at n = 1024"):
             approximation_numbers(Constant(100.0), 64)
+
+    @pytest.mark.parametrize("n", [1, 4, 256])
+    def test_zero_mass_piece_at_the_origin_still_assembles(self, n):
+        # a node at 1e-300 cuts a piece whose weights are subnormal, but the
+        # unit-width weights are normal, and the piece adds nothing
+        flat = assemble_matrix(Tabulated((0.0, 1.0), (0.5, 0.5)), n)
+        cut = assemble_matrix(Tabulated((0.0, 1e-300, 1.0), (0.5, 0.5, 0.5)), n)
+        assert np.array_equal(cut.entries, flat.entries)
 
     def test_order_60_still_assembles(self):
         m = assemble_matrix(Constant(60.0), 256)
