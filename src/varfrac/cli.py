@@ -26,6 +26,7 @@ from .core import (
     NumericalError,
     _sorted_unique,
     atomic_write_text,
+    csv_text,
     maximal_values,
     q_values,
     read_table,
@@ -211,10 +212,6 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _csv_table(header: str, rows) -> str:
-    return "\n".join([header] + [",".join(repr(float(v)) for v in row) for row in rows])
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -224,7 +221,7 @@ def cmd_apply(args) -> int:
     f = parse_f(args.f)
     targets = parse_targets(args.targets)
     values = (q_values if args.adjoint else rl_values)(alpha, f, targets)
-    _emit(_csv_table("t,value", zip(targets, values)), args.output)
+    _emit(csv_text("t,value", zip(targets, values)), args.output)
     return EXIT_OK
 
 
@@ -261,7 +258,7 @@ def cmd_spectrum(args) -> int:
         if named:
             raise ValueError(f"spectrum --matrix uses the file as it is; drop {', '.join(named)}")
         entries = _load_matrix(args.matrix)
-        m = OperatorMatrix(n=entries.shape[0], r=1.0, p=2.0, q=2.0, entries=entries)
+        m = OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=entries)
         _emit(_spectrum_text(singular_values(m)), args.output)
         return EXIT_OK
     alpha = parse_alpha(args.alpha)

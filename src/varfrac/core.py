@@ -16,7 +16,7 @@ port of the Lanczos approximation that CPython's math.gamma uses, together
 with its global minimum K0; exact L_p norms of grid functions; the
 Hardy-Littlewood maximal function evaluated over its critical radii; a
 first-difference Besov norm; the cell-averaging projection onto piecewise
-constants; and the CSV reader and atomic writer of the package's files.
+constants; and the CSV reader and writers of the package's files.
 """
 
 from __future__ import annotations
@@ -196,16 +196,17 @@ def gamma(x):
 
 
 @cache
-def _gauss16():
-    """16-point Gauss-Legendre on [-1, 1], built on first use (numpy.polynomial: ~5 ms)."""
+def _leggauss(points: int):
+    """Gauss-Legendre rule on [-1, 1], built on first use (numpy.polynomial: ~5 ms)."""
     from numpy.polynomial.legendre import leggauss
 
-    return leggauss(16)
+    return leggauss(points)
 
 
-def _gauss_panels(edges, x, w):
-    """Nodes and weights of the rule (x, w) on [-1, 1] mapped onto every
-    panel of a sorted edge array, as (panels x points) arrays."""
+def _gauss_panels(edges, points: int):
+    """Nodes and weights of `points`-point Gauss mapped onto every panel of a
+    sorted edge array, as (panels x points) arrays."""
+    x, w = _leggauss(points)
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -214,7 +215,7 @@ def _gauss_panels(edges, x, w):
 
 def _panel_gauss(fn, edges) -> float:
     """16-point Gauss on each cell of a sorted edge array, summed."""
-    x, w = _gauss_panels(edges, *_gauss16())
+    x, w = _gauss_panels(edges, 16)
     return float(np.sum(w * fn(x)))
 
 
@@ -375,12 +376,8 @@ class GridFunction:
 
     def to_csv(self, path) -> None:
         """Write `# interpretation=...`, a header row, then node,value rows (LF)."""
-        lines = [f"# interpretation={self.interpretation}", "node,value"]
-        # builtin-float repr round-trips exactly; numpy scalar repr does not parse
-        lines.extend(
-            f"{float(x)!r},{float(v)!r}" for x, v in zip(self.nodes, self.values)
-        )
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        head = f"# interpretation={self.interpretation}\nnode,value"
+        atomic_write_text(path, csv_text(head, zip(self.nodes, self.values)))
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
@@ -667,6 +664,20 @@ def read_table(path, columns: int | None = None) -> tuple[np.ndarray, dict[str, 
                 raise ValueError(f"{path}:{lineno}: need {width} columns, got {len(row)}")
             rows.append(row)
     return np.asarray(rows, dtype=float).reshape(len(rows), width or 0), directives
+
+
+def csv_text(head: str, rows) -> str:
+    """CSV text: the head line(s), then one line per row, every line LF-ended.
+
+    A field prints as the repr of a builtin float, which round-trips exactly
+    (a numpy scalar's repr does not parse); an int prints as itself and None
+    as an empty field.
+    """
+
+    def field(v) -> str:
+        return "" if v is None else str(v) if isinstance(v, int) else repr(float(v))
+
+    return "\n".join([head, *(",".join(map(field, row)) for row in rows)]) + "\n"
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -143,6 +143,18 @@ def divergence_trend(values) -> bool:
     return total_growth >= _TREND_GROWTH and inc[-1] >= _TREND_FLOOR * inc[0]
 
 
+def _ladder_report(evidence, value: float, method: str) -> NormReport:
+    """Report on a truncation ladder of (depth, value) pairs: divergent, with
+    value +inf, when divergence_trend flags the values, else `value`."""
+    divergent = divergence_trend([v for _, v in evidence])
+    return NormReport(
+        value=math.inf if divergent else value,
+        divergent=divergent,
+        evidence=tuple(evidence),
+        method=method,
+    )
+
+
 # --------------------------------------------------------------------------
 # quadrature helpers
 
@@ -182,20 +194,9 @@ def l1_criterion_integral(alpha: OrderFunction) -> NormReport:
         edges = _octave_edges(eps, 1.0, extra=bp)
         evidence.append((eps, _panel_gauss(integrand, edges)))
 
-    values = [v for _, v in evidence]
-    divergent = divergence_trend(values)
-    if divergent:
-        value = math.inf
-    else:
-        eps_last = TRUNCATION_EPSILONS[-1]
-        tail = eps_last ** float(alpha.eval(eps_last))
-        value = values[-1] + tail
-    return NormReport(
-        value=value,
-        divergent=divergent,
-        evidence=tuple(evidence),
-        method="truncated-octave-gauss+frozen-tail",
-    )
+    eps_last = TRUNCATION_EPSILONS[-1]
+    tail = eps_last ** float(alpha.eval(eps_last))
+    return _ladder_report(evidence, evidence[-1][1] + tail, "truncated-octave-gauss+frozen-tail")
 
 
 def _l1_inner_integral(alpha: OrderFunction, s: float) -> float:
@@ -236,15 +237,8 @@ def l1_operator_norm(alpha: OrderFunction) -> NormReport:
         evidence.append((eps, _l1_inner_integral(alpha, eps)))
     wide = [_l1_inner_integral(alpha, s) for s in np.linspace(0.05, 0.95, 19)]
 
-    deep_values = [v for _, v in evidence]
-    divergent = divergence_trend(deep_values)
-    value = math.inf if divergent else max(deep_values + wide)
-    return NormReport(
-        value=value,
-        divergent=divergent,
-        evidence=tuple(evidence),
-        method="probe-sup/offset-octave-gauss",
-    )
+    value = max([v for _, v in evidence] + wide)
+    return _ladder_report(evidence, value, "probe-sup/offset-octave-gauss")
 
 
 def lp_to_linf_norm(alpha: OrderFunction, p: float) -> NormReport:
@@ -304,14 +298,7 @@ def lp_to_linf_norm(alpha: OrderFunction, p: float) -> NormReport:
         running = max(running, float(np.max(terms)))
         evidence.append((eps, running))
 
-    divergent = divergence_trend([v for _, v in evidence])
-    value = math.inf if divergent else prefactor * running
-    return NormReport(
-        value=value,
-        divergent=divergent,
-        evidence=tuple(evidence),
-        method="lp-to-linf/refined-sup",
-    )
+    return _ladder_report(evidence, prefactor * running, "lp-to-linf/refined-sup")
 
 
 # --------------------------------------------------------------------------

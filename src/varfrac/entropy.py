@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .core import csv_text
 from .orders import ExpOffset, LogPower, LogPowerOffset, OrderFunction, PowerOffset
 
 __all__ = [
@@ -175,12 +176,9 @@ class EntropyEstimate:
 
     def csv_text(self) -> str:
         """The bracket as CSV: n,lower,upper,predicted, absent columns left empty."""
-        lines = ["n,lower,upper,predicted"]
-        for i, n in enumerate(self.n_values):
-            lo = repr(self.lower[i]) if self.lower is not None else ""
-            pred = repr(self.predicted[i]) if self.predicted is not None else ""
-            lines.append(f"{n},{lo},{repr(self.upper[i])},{pred}")
-        return "\n".join(lines) + "\n"
+        absent = (None,) * len(self.n_values)
+        rows = zip(self.n_values, self.lower or absent, self.upper, self.predicted or absent)
+        return csv_text("n,lower,upper,predicted", rows)
 
 
 # --------------------------------------------------------------------------

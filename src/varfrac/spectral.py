@@ -21,10 +21,11 @@ alpha only through its samples at the piece's nodes.  When no breakpoint
 splits a cell and every cell's samples equal the last cell's, as for a
 constant order, every row is the last row shifted: that row alone is
 computed and the matrix is exactly Toeplitz (entry (i, j) depends on i - j
-alone, bit for bit).  Otherwise pieces are processed in blocks, with gamma
-and the weights evaluated once per block.  The far moments are laid out
-points-major, and their 8 point slabs are added in numpy's own pairwise
-order, so both paths give the bits of a sum along the points axis.
+alone, bit for bit).  Otherwise pieces are processed in blocks.  Both paths
+call one function, _moments, which forms the weights, checks their range
+and sums the moments; the far moments are laid out points-major, and their
+8 point slabs are added in numpy's own pairwise order, so both paths give
+the bits of a sum along the points axis.
 
 Singular values of this matrix are the approximation numbers of the
 discretized operator for p = q = 2.  approximation_numbers assembles only
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _gauss_panels, atomic_write_text, gamma
+from .core import _gauss_panels, atomic_write_text, csv_text, gamma
 from .orders import OrderFunction
 
 __all__ = [
@@ -61,9 +62,8 @@ __all__ = [
 # innermost panel [0, 2^-24] keeps the kernel corner at a panel edge, so only
 # that panel sees a non-smooth integrand and its mass is O(2^-24) of the
 # piece.  The other columns use one 8-point panel, whose nodes come last.
-_X8, _W8 = np.polynomial.legendre.leggauss(8)
-_GRADED = _gauss_panels(np.append(0.0, 2.0 ** -np.arange(24, -1, -1.0)), _X8, _W8)
-_PLAIN = _gauss_panels([0.0, 1.0], _X8, _W8)
+_GRADED = _gauss_panels(np.append(0.0, 2.0 ** -np.arange(24, -1, -1.0)), 8)
+_PLAIN = _gauss_panels([0.0, 1.0], 8)
 _CORNER = _GRADED[0].size
 _NODES = np.append(_GRADED[0], _PLAIN[0])
 _WEIGHTS = np.append(_GRADED[1], _PLAIN[1])
@@ -91,7 +91,6 @@ _DENSE_CAP = 4096
 class OperatorMatrix:
     """Lower-triangular discretization of the operator on n cells of [0, r]."""
 
-    n: int
     r: float
     p: float
     q: float
@@ -99,8 +98,8 @@ class OperatorMatrix:
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.n, self.n):
-            raise ValueError(f"entries must be {self.n}x{self.n}, got {e.shape}")
+        if e.ndim != 2 or e.shape[0] != e.shape[1]:
+            raise ValueError(f"entries must be square, got shape {e.shape}")
         if not np.all(np.isfinite(e)):
             raise ValueError("matrix entries must be finite")
         if np.any(np.triu(e, 1) != 0.0):
@@ -109,16 +108,17 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", e)
 
     @property
+    def n(self) -> int:
+        return self.entries.shape[0]
+
+    @property
     def diagonal(self) -> np.ndarray:
         return np.diag(self.entries)
 
     def to_csv(self, path: str) -> None:
         fields = {"n": self.n, "p": self.p, "q": self.q, "r": self.r}
         header = json.dumps({"basis_tag": "normalized-indicator", **fields}, sort_keys=True)
-        lines = ["# " + header]
-        for row in self.entries:
-            lines.append(",".join(repr(float(x)) for x in row))
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_text(path, csv_text("# " + header, self.entries))
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,10 @@ class ApproximationReport:
     values: np.ndarray
     n_disc: int
     drift: float
-    converged: bool
+
+    @property
+    def converged(self) -> bool:
+        return self.drift < 0.01
 
 
 @dataclass(frozen=True)
@@ -180,9 +183,9 @@ def assemble_matrix(
     one: that row alone is computed, with span n - 1, and row i is its
     first i + 1 moments reversed.  A constant order takes this path, and
     its matrix is exactly lower-triangular Toeplitz with an exactly flat
-    diagonal.  Otherwise pieces run in blocks of _BLOCK, with gamma and the
-    weights evaluated once per block.  Both paths give the bits of the
-    blocked loop.
+    diagonal.  Otherwise pieces run in blocks of _BLOCK, one _moments call
+    (gamma, the weights and their checks, the moments) per block.  Both
+    paths give the bits of the blocked loop.
 
     Raises ValueError, naming n and the largest order sample, when the
     weights of a piece of unit width would not be positive normal doubles
@@ -227,7 +230,7 @@ def assemble_matrix(
     # piece is a whole cell and every cell's samples equal the last cell's,
     # every row holds the last row's moments and only that row is computed
     if cell.size == n and np.all(samples == samples[-1]):
-        mom = _weighted_moments(_NODES[None], samples[-1:], 1.0, h, max(n - 1, 2), n)[0]
+        mom = _moments(_NODES[None], samples[-1:], 1.0, h, n - 1, n)[0]
         for i in range(n):
             entries[i, : i + 1] = mom[i::-1]
     else:
@@ -236,65 +239,55 @@ def assemble_matrix(
             piece_width = width[blk : blk + _BLOCK, None]
             x = lo[blk : blk + _BLOCK, None] + piece_width * _NODES
             a = samples[blk : blk + _BLOCK]
-            mom = _weighted_moments(x, a, piece_width, h, max(int(rows[-1]), 2), n)
+            mom = _moments(x, a, piece_width, h, int(rows[-1]), n)
             for k, i in enumerate(rows.tolist()):
                 entries[i, : i + 1] += mom[k, i::-1]
     entries *= prefactor
-    return OperatorMatrix(n=n, r=r, p=p, q=q, entries=entries)
+    return OperatorMatrix(r=r, p=p, q=q, entries=entries)
 
 
-def _weighted_moments(x, a, width, h, span, n) -> np.ndarray:
-    """_moments with the weights h^(a+1) width W / (a Gamma(a)) of the outer rule.
+def _moments(x, a, width, h, span, n) -> np.ndarray:
+    """Weighted kernel moment sums by distance d = 0..max(span, 2), per piece.
+
+    x and a are (pieces x 208) nodes and order samples; the outer rule's
+    weights are h^(a+1) width W / (a Gamma(a)).  The near columns d = 0, 1, 2
+    sum over the 200 graded nodes along the points axis.  The far columns
+    d >= 3 run points-major, as (pieces x 8 points x distances) arrays, so
+    every ufunc loop runs along the distances, and add the 8 point slabs in
+    numpy's own pairwise order: the bits of a sum along the points axis.
 
     Raises ValueError, naming n and the largest order sample, when a weight
-    is not finite, or is below the smallest normal double times its piece's
-    width, or a moment is not finite: a large order takes h^(a+1) / Gamma(a)
-    below the doubles (the entries would print as zeros, or lose digits on
-    subnormal weights) and (d + x)^a above them.  The width scales the
-    floor because a piece only a few subnormals wide carries no mass.
+    is not finite or is below the smallest normal double times its piece's
+    width (a piece a few subnormals wide carries no mass), or a moment is
+    not finite: a large order takes h^(a+1) / Gamma(a) below the doubles
+    (the entries would print as zeros, or lose digits) and (d + x)^a above.
     """
+    mom = np.empty((x.shape[0], max(span, 2) + 1))
     # the checks below catch every overflow and NaN, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         w = h ** (a + 1.0) * (width * _WEIGHTS) / (a * gamma(a))
-        normal = np.all(np.min(w, axis=1, keepdims=True) >= _TINY * width)
-        if normal and np.max(w) < math.inf:
-            mom = _moments(x, a, w, span)
-            if np.all(np.isfinite(mom)):
-                return mom
+        xc, ac, wc = x[:, :_CORNER], a[:, :_CORNER], w[:, :_CORNER]
+        corner = np.power(xc, ac)
+        first = np.power(1.0 + xc, ac)
+        mom[:, 0] = np.sum(corner * wc, axis=1)
+        mom[:, 1] = np.sum((first - corner) * wc, axis=1)
+        mom[:, 2] = np.sum((np.power(2.0 + xc, ac) - first) * wc, axis=1)
+        far = x[:, _CORNER:, None] + np.arange(2.0, mom.shape[1])
+        np.power(far, a[:, _CORNER:, None], out=far)
+        far = far[..., 1:] - far[..., :-1]
+        far *= w[:, _CORNER:, None]
+        left = far[:, 0] + far[:, 1]
+        left += far[:, 2] + far[:, 3]
+        right = far[:, 4] + far[:, 5]
+        right += far[:, 6] + far[:, 7]
+        np.add(left, right, out=mom[:, 3:])
+    normal = np.all(np.min(w, axis=1, keepdims=True) >= _TINY * width)
+    if normal and np.max(w) < math.inf and np.all(np.isfinite(mom)):
+        return mom
     raise ValueError(
         f"order samples up to {float(np.max(a))!r} at n = {n} take the matrix "
         "weights or kernel moments out of the normal double range"
     )
-
-
-def _moments(x, a, w, span) -> np.ndarray:
-    """Weighted kernel moment sums by distance d = 0..span, one row per piece.
-
-    x, a and w are (pieces x 208) nodes, order samples and weights.  The
-    near columns d = 0, 1, 2 sum over the 200 graded nodes along the
-    contiguous points axis; the far columns d >= 3 run points-major, as
-    (pieces x 8 points x distances) arrays, so every ufunc loop runs along
-    the distances, and add the 8 point slabs as
-    ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)), numpy's own pairwise
-    order for an 8-term sum: the same bits as summing along the points axis.
-    """
-    mom = np.empty((x.shape[0], span + 1))
-    xc, ac, wc = x[:, :_CORNER], a[:, :_CORNER], w[:, :_CORNER]
-    corner = np.power(xc, ac)
-    first = np.power(1.0 + xc, ac)
-    mom[:, 0] = np.sum(corner * wc, axis=1)
-    mom[:, 1] = np.sum((first - corner) * wc, axis=1)
-    mom[:, 2] = np.sum((np.power(2.0 + xc, ac) - first) * wc, axis=1)
-    far = x[:, _CORNER:, None] + np.arange(2.0, span + 1.0)
-    np.power(far, a[:, _CORNER:, None], out=far)
-    far = far[..., 1:] - far[..., :-1]
-    far *= w[:, _CORNER:, None]
-    left = far[:, 0] + far[:, 1]
-    left += far[:, 2] + far[:, 3]
-    right = far[:, 4] + far[:, 5]
-    right += far[:, 6] + far[:, 7]
-    np.add(left, right, out=mom[:, 3:])
-    return mom
 
 
 def _check_dense_size(n: int) -> None:
@@ -344,10 +337,10 @@ def approximation_numbers(
     # reshape(n, 2, n, 2).sum(axis=(1, 3)), in a tenth of its time
     pairs = fine.entries[:, 0::2] + fine.entries[:, 1::2]
     blocks = pairs[0::2] + pairs[1::2]
-    coarse = OperatorMatrix(n=n_disc, r=r, p=2.0, q=2.0, entries=0.5 * blocks)
+    coarse = OperatorMatrix(r=r, p=2.0, q=2.0, entries=0.5 * blocks)
     sv = singular_values(coarse)[:n_max]
     drift = float(np.max(np.abs(sv / sv2 - 1.0)))
-    return ApproximationReport(values=sv, n_disc=n_disc, drift=drift, converged=drift < 0.01)
+    return ApproximationReport(values=sv, n_disc=n_disc, drift=drift)
 
 
 def ball_volume_root(n: int, p: float) -> float:
@@ -399,6 +392,4 @@ def _spectrum_text(values) -> str:
     vals = np.asarray(values, dtype=float)
     floor = vals.size * np.finfo(float).eps * np.max(vals, initial=0.0)
     shown = np.where(vals >= floor, vals, 0.0)
-    lines = ["k,sigma_k"]
-    lines += [f"{k},{float(v)!r}" for k, v in enumerate(shown, start=1)]
-    return "\n".join(lines) + "\n"
+    return csv_text("k,sigma_k", enumerate(shown, start=1))

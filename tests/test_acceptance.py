@@ -233,9 +233,7 @@ def test_criterion_09_volumetric_unit():
         entries = np.diag([d] * 4)
         from varfrac.spectral import OperatorMatrix
 
-        bound = volumetric_entropy_lower(
-            OperatorMatrix(n=4, r=1.0, p=2.0, q=2.0, entries=entries)
-        )
+        bound = volumetric_entropy_lower(OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=entries))
         exact_ok = exact_ok and bound.value == d / 2.0
     two = volumetric_entropy_lower(assemble_matrix(Constant(1.0), 2)).value
     ok = exact_ok and abs(two - 0.125) <= 1e-9

@@ -14,14 +14,17 @@ from varfrac.core import (
     GridFunction,
     NumericalError,
     _blocks,
+    _gauss_panels,
     _lanczos_sum,
     _sorted_unique,
     besov_norm,
+    csv_text,
     gamma,
     lp_norm,
     maximal_values,
     project_average,
     q_values,
+    read_table,
     rl_values,
 )
 from varfrac.orders import (
@@ -294,6 +297,19 @@ class TestLpNorm:
             lp_norm(ONE, 0.5)
 
 
+class TestGaussPanels:
+    @pytest.mark.parametrize("points", [8, 16])
+    def test_matches_leggauss_mapped_onto_each_panel(self, points):
+        # the affine map of numpy's rule onto [e_k, e_k+1], bit for bit
+        edges = np.append(0.0, 2.0 ** -np.arange(24, -1, -1.0))
+        xg, wg = np.polynomial.legendre.leggauss(points)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        x, w = _gauss_panels(edges, points)
+        assert np.array_equal(x, mid[:, None] + half[:, None] * xg)
+        assert np.array_equal(w, half[:, None] * wg)
+
+
 class TestMaximalFunction:
     def test_constant_interior(self):
         assert maximal_values(ONE, [0.5])[0] == pytest.approx(1.0, abs=1e-12)
@@ -391,6 +407,22 @@ class TestGridFunction:
     def test_rejects_nan_node(self, nodes):
         with pytest.raises(ValueError, match="nodes"):
             GridFunction(nodes, (1.0, 2.0, 1.0))
+
+
+class TestCsvText:
+    def test_field_rules(self):
+        rows = [(1, np.float64(0.1), None), (2, 1e-300, 3.0)]
+        assert csv_text("k,x,y", rows) == "k,x,y\n1,0.1,\n2,1e-300,3.0\n"
+
+    def test_head_only(self):
+        assert csv_text("# a=b\nx,y", []) == "# a=b\nx,y\n"
+
+    def test_round_trips_through_read_table(self, tmp_path):
+        values = np.array([[0.1, 1.0 / 3.0], [np.pi, 5e-324]])
+        path = tmp_path / "t.csv"
+        path.write_text(csv_text("x,y", values))
+        table, _ = read_table(str(path))
+        assert np.array_equal(table, values)
 
 
 class TestSortedUnique:

@@ -11,6 +11,7 @@ from varfrac.core import GridFunction, gamma
 from varfrac.diagnostics import (
     TRUNCATION_EPSILONS,
     CompactnessVerdict,
+    _ladder_report,
     NormReport,
     classify_compactness,
     divergence_trend,
@@ -83,6 +84,23 @@ class TestDivergenceTrend:
         assert not divergence_trend([1.0, 2.0, 1.5, 2.5, 3.0])
 
 
+class TestLadderReport:
+    def test_flagged_ladder_reports_infinity(self):
+        rep = _ladder_report([(1.0, 1.0), (0.5, 2.0), (0.25, 3.0), (0.125, 4.0)], 9.0, "m")
+        assert rep.divergent and rep.value == math.inf
+        assert rep.evidence == ((1.0, 1.0), (0.5, 2.0), (0.25, 3.0), (0.125, 4.0))
+
+    def test_settled_ladder_reports_the_value(self):
+        rep = _ladder_report([(1.0, 1.0), (0.5, 1.5), (0.25, 1.6), (0.125, 1.61)], 9.0, "m")
+        assert not rep.divergent and rep.value == 9.0 and rep.method == "m"
+
+
+# 16-point Gauss on the top octave panel [1/2, 1] cannot integrate t^(a-1)
+# once a - 1 is well past 31: both L1 criteria are 2e-14 off at a = 60,
+# 7e-11 at 80 and 1e-8 at 100
+LARGE_ORDER_REASON = "16-point Gauss on [1/2, 1] misses t^99 by 9.6e-9 relative"
+
+
 class TestL1Criterion:
     @pytest.mark.parametrize("a", [0.25, 1.0, 2.0])
     def test_constant_orders_integrate_to_one(self, a):
@@ -106,6 +124,10 @@ class TestL1Criterion:
         rep = l1_criterion_integral(Constant(0.5))
         assert tuple(e for e, _ in rep.evidence) == TRUNCATION_EPSILONS
 
+    @pytest.mark.xfail(strict=True, reason=LARGE_ORDER_REASON)
+    def test_large_constant_order_integrates_to_one(self):
+        assert l1_criterion_integral(Constant(100.0)).value == pytest.approx(1.0, rel=1e-12)
+
 
 class TestL1OperatorNorm:
     @pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.0])
@@ -113,6 +135,11 @@ class TestL1OperatorNorm:
         rep = l1_operator_norm(Constant(a))
         assert not rep.divergent
         assert rep.value == pytest.approx(1.0 / gamma(a + 1.0), abs=1e-6)
+
+    @pytest.mark.xfail(strict=True, reason=LARGE_ORDER_REASON)
+    def test_large_constant_order(self):
+        rep = l1_operator_norm(Constant(100.0))
+        assert rep.value == pytest.approx(1.0 / math.gamma(101.0), rel=1e-12, abs=0.0)
 
     def test_reciprocal_log_diverges(self):
         rep = l1_operator_norm(ReciprocalLog())

@@ -48,7 +48,7 @@ CLOSURE_ORDERS = st.one_of(
 
 def diag_matrix(d, p=2.0, q=2.0) -> OperatorMatrix:
     d = np.asarray(d, dtype=float)
-    return OperatorMatrix(n=d.size, r=1.0, p=p, q=q, entries=np.diag(d))
+    return OperatorMatrix(r=1.0, p=p, q=q, entries=np.diag(d))
 
 
 # orders the assembly is compared on against the slow references below
@@ -317,6 +317,27 @@ class TestAssembly:
         want = constant_order_column(0.05, 64)[:2]
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the order rises steeply inside cell 0, where the graded corner "
+        "rule is 1.83e-11 off the 64-point reference",
+    )
+    def test_steep_order_corner_entry_matches_reference(self):
+        alpha = ExpOffset(0.5, 0.05, 2.34)
+        got = assemble_matrix(alpha, 8).entries[0, 0]
+        want = reference_row(alpha, 8, 0, points=64)[0]
+        assert abs(got / want - 1.0) <= 1e-13
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the far moment (d + x)^a - (d - 1 + x)^a loses about eps * d / a: "
+        "the entry at d = 952 is 1.41e-12 off the closed form",
+    )
+    def test_small_constant_order_far_column_matches_closed_form(self):
+        got = assemble_matrix(Constant(0.05), 1024).entries[952, 0]
+        want = constant_order_column(0.05, 1024)[952]
+        assert abs(got / want - 1.0) <= 1e-12
+
     def test_diagonal_floor_holds(self):
         # proven floor at r = 1, p = q = 2: sigma_jj >= n / C1 * (1/2n)^(a1+1),
         # C1 = max(1, Gamma(a1+1)), a1 = alpha(1) the supremum of a
@@ -338,12 +359,22 @@ class TestAssembly:
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
-            OperatorMatrix(n=2, r=1.0, p=2.0, q=2.0, entries=np.ones((2, 3)))
+            OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=np.ones((2, 3)))
         with pytest.raises(ValueError):
-            OperatorMatrix(n=2, r=1.0, p=2.0, q=2.0, entries=np.ones((2, 2)))
+            OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=np.ones((2, 2)))
         bad = np.array([[1.0, 0.0], [math.nan, 1.0]])
         with pytest.raises(ValueError):
-            OperatorMatrix(n=2, r=1.0, p=2.0, q=2.0, entries=bad)
+            OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=bad)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4,), (2, 2, 2)])
+    def test_non_square_entries_are_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=np.zeros(shape))
+
+    def test_size_is_the_entries_side(self):
+        m = assemble_matrix(Constant(0.7), 5)
+        assert m.n == m.entries.shape[0] == 5
+        assert diag_matrix([1.0, 2.0, 3.0]).n == 3
 
     def test_csv_round_trip(self, tmp_path):
         m = assemble_matrix(PowerOffset(0.5, 1.0, 1.0), 6, r=0.5, p=2.0, q=4.0)
@@ -398,6 +429,14 @@ class TestApproximationNumbers:
         n = np.arange(1, 33, dtype=float)
         slope = np.polyfit(np.log(n[7:]), np.log(rep.values[7:]), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.05)
+
+    def test_converged_flips_at_one_percent_drift(self):
+        def report(drift):
+            return ApproximationReport(values=np.ones(2), n_disc=16, drift=drift)
+
+        assert report(math.nextafter(0.01, 0.0)).converged
+        assert not report(0.01).converged
+        assert not report(math.inf).converged
 
     def test_rejects_bad_discretization(self):
         with pytest.raises(ValueError):
@@ -467,9 +506,9 @@ def moments_calls(monkeypatch) -> list:
     calls = []
     inner = spectral._moments
 
-    def record(x, a, w, span):
+    def record(x, a, width, h, span, n):
         calls.append((x.shape[0], span))
-        return inner(x, a, w, span)
+        return inner(x, a, width, h, span, n)
 
     monkeypatch.setattr(spectral, "_moments", record)
     return calls
@@ -553,7 +592,7 @@ class TestLargeOrders:
         # overflows once d + x passes about 113.5
         a = np.full((1, spectral._NODES.size), 150.0)
         with pytest.raises(ValueError, match=r"up to 150\.0 at n = 7"):
-            spectral._weighted_moments(spectral._NODES[None], a, 1.0, 1.0, 200, 7)
+            spectral._moments(spectral._NODES[None], a, 1.0, 1.0, 200, 7)
 
 
 class TestBlockCoarsening:
@@ -612,6 +651,27 @@ class TestBlockCoarsening:
             coarse = coarse_svd_input(mp, alpha, n_disc)
         ref = reference_entries(alpha, n_disc, points=64)
         direct = assemble_matrix(alpha, n_disc).entries
+        assert max_relative_error(coarse, ref) < max_relative_error(direct, ref)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the order rises from 0.25 to 2.5 across [0.4375, 0.5]: the spectra "
+        "differ by 4.66e-12, and the coarsened matrix is 4.13e-11 off the 64-point "
+        "reference against 7.29e-12 for the direct one",
+    )
+    def test_steep_linear_table_counterexample(self):
+        # the counterexample hypothesis found for test_values_match_direct_assembly,
+        # asserted as that property asserts it.  The property's own source is
+        # left as it is: hypothesis keys its stored examples by that source.
+        alpha = Tabulated((0.0, 0.25, 0.4375, 0.5, 1.0), (1.0, 1.0, 0.25, 2.5, 1.0), "linear")
+        got = approximation_numbers(alpha, 1, 8).values
+        want = singular_values(assemble_matrix(alpha, 8))[:1]
+        if np.max(np.abs(got / want - 1.0)) <= 1e-12:
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            coarse = coarse_svd_input(mp, alpha, 8)
+        ref = reference_entries(alpha, 8, points=64)
+        direct = assemble_matrix(alpha, 8).entries
         assert max_relative_error(coarse, ref) < max_relative_error(direct, ref)
 
 
