@@ -17,15 +17,16 @@ every other column is analytic well beyond the piece and uses plain
 8-point Gauss.
 Distances are taken in units of h from the left edge of I_i, and every
 entry is summed over the points in one fixed order, so an entry depends on
-alpha only through its samples at the piece's nodes.  When no breakpoint
-splits a cell and every cell's samples equal the last cell's, as for a
-constant order, every row is the last row shifted: that row alone is
-computed and the matrix is exactly Toeplitz (entry (i, j) depends on i - j
-alone, bit for bit).  Otherwise pieces are processed in blocks.  Both paths
-call one function, _moments, which forms the weights, checks their range
-and sums the moments; the far moments are laid out points-major, and their
-8 point slabs are added in numpy's own pairwise order, so both paths give
-the bits of a sum along the points axis.
+alpha only through its samples at the piece's nodes.  So a run of whole
+cells with the same samples, such as the cells of a capped logarithmic
+order on [1/e, 1], shares one row of moments: only the run's last row is
+computed, and every other row of the run is that row shifted.  A constant
+order is one run of n cells, and its matrix is exactly Toeplitz (entry
+(i, j) depends on i - j alone, bit for bit).  The computed rows run in
+blocks through one function, _moments, which forms the weights, checks
+their range and sums the moments; the far moments are laid out
+points-major, and their 8 point slabs are added in numpy's own pairwise
+order, so every entry has the bits of a sum along the points axis.
 
 Singular values of this matrix are the approximation numbers of the
 discretized operator for p = q = 2.  approximation_numbers assembles only
@@ -102,8 +103,14 @@ class OperatorMatrix:
             raise ValueError(f"entries must be square, got shape {e.shape}")
         if not np.all(np.isfinite(e)):
             raise ValueError("matrix entries must be finite")
-        if np.any(np.triu(e, 1) != 0.0):
-            raise ValueError("strict upper triangle must be exactly zero")
+        # the strict upper triangle 128 rows at a time, without a copy of the
+        # matrix: the columns right of the rows' diagonal block, then the
+        # block's own upper part.  At n = 2048 np.triu of the whole matrix
+        # took 21 ms and this 4 ms; from n = 128 to 256 the two are level.
+        for r0 in range(0, e.shape[0], 128):
+            r1 = r0 + 128
+            if np.any(e[r0:r1, r1:] != 0.0) or np.any(np.triu(e[r0:r1, r0:r1], 1) != 0.0):
+                raise ValueError("strict upper triangle must be exactly zero")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -177,15 +184,16 @@ def assemble_matrix(
     nodes.
 
     Alpha is evaluated once at each of the 208 nodes of every piece,
-    _EVAL_CELLS pieces per call.  If no breakpoint splits a cell and every
-    cell's samples equal the last cell's (exact ==, on the samples,
-    whatever the order's type), every row holds the moments of the last
-    one: that row alone is computed, with span n - 1, and row i is its
-    first i + 1 moments reversed.  A constant order takes this path, and
-    its matrix is exactly lower-triangular Toeplitz with an exactly flat
-    diagonal.  Otherwise pieces run in blocks of _BLOCK, one _moments call
-    (gamma, the weights and their checks, the moments) per block.  Both
-    paths give the bits of the blocked loop.
+    _EVAL_CELLS pieces per call.  A whole cell whose samples equal (exact
+    ==, whatever the order's type) those of the next piece, also a whole
+    cell, takes its moments from that piece.  So each run of such cells
+    computes only its last row, the one with the largest span, and row m
+    of the run is that row's first m + 1 moments reversed.  A constant
+    order is one run of n cells, and its matrix is exactly lower-triangular
+    Toeplitz with an exactly flat diagonal.  The computed pieces run in
+    blocks of _BLOCK, one _moments call (gamma, the weights and their
+    checks, the moments) per block, and every entry has the bits of the
+    blocked loop over all pieces.
 
     Raises ValueError, naming n and the largest order sample, when the
     weights of a piece of unit width would not be positive normal doubles
@@ -225,23 +233,30 @@ def assemble_matrix(
         t += edges[cell[part], None]
         t[...] = alpha.eval(t)
 
+    # an entry depends on alpha only through its samples, so a whole cell
+    # whose samples equal the next piece's, also a whole cell, holds that
+    # piece's moments: each run of such cells computes only its last row
+    whole = (lo == 0.0) & (hi == 1.0)
+    same = whole[:-1] & whole[1:] & np.all(samples[:-1] == samples[1:], axis=1)
+    computed = np.flatnonzero(np.append(~same, True))
+    run_start = cell[np.append(0, computed[:-1] + 1)]
+    cell, lo, width = cell[computed], lo[computed], width[computed]
     entries = np.zeros((n, n))
-    # an entry depends on alpha only through its samples, so when every
-    # piece is a whole cell and every cell's samples equal the last cell's,
-    # every row holds the last row's moments and only that row is computed
-    if cell.size == n and np.all(samples == samples[-1]):
-        mom = _moments(_NODES[None], samples[-1:], 1.0, h, n - 1, n)[0]
-        for i in range(n):
-            entries[i, : i + 1] = mom[i::-1]
-    else:
-        for blk in range(0, cell.size, _BLOCK):
-            rows = cell[blk : blk + _BLOCK]
-            piece_width = width[blk : blk + _BLOCK, None]
-            x = lo[blk : blk + _BLOCK, None] + piece_width * _NODES
-            a = samples[blk : blk + _BLOCK]
-            mom = _moments(x, a, piece_width, h, int(rows[-1]), n)
-            for k, i in enumerate(rows.tolist()):
-                entries[i, : i + 1] += mom[k, i::-1]
+    for blk in range(0, cell.size, _BLOCK):
+        rows = cell[blk : blk + _BLOCK]
+        piece_width = width[blk : blk + _BLOCK, None]
+        x = lo[blk : blk + _BLOCK, None] + piece_width * _NODES
+        # the samples are indexed per block: a copy of all computed rows
+        # made ExpOffset(0.5, 1, 1), whose cells 0..6 form a run, 3% slower
+        a = samples[computed[blk : blk + _BLOCK]]
+        mom = _moments(x, a, piece_width, h, int(rows[-1]), n)
+        for row, i, start in zip(mom, rows.tolist(), run_start[blk : blk + _BLOCK].tolist()):
+            # the run's other cells are whole, so their rows are assigned
+            # (+= made a constant order 40% slower); the piece's own row is
+            # added to, since a cut cell has more pieces
+            for m in range(start, i):
+                entries[m, : m + 1] = row[m::-1]
+            entries[i, : i + 1] += row[i::-1]
     entries *= prefactor
     return OperatorMatrix(r=r, p=p, q=q, entries=entries)
 

@@ -13,6 +13,7 @@ from varfrac.core import K0, gamma
 from varfrac.orders import (
     Constant,
     ExpOffset,
+    LogPower,
     LogPowerOffset,
     OrderFunction,
     PowerOffset,
@@ -133,10 +134,10 @@ def closure_entries(alpha, n: int, r: float = 1.0, p: float = 2.0, q: float = 2.
 
 
 def blocked_entries(alpha, n: int, r: float = 1.0, p: float = 2.0, q: float = 2.0):
-    """assemble_matrix's loop before the one-row path: every piece in blocks
-    of 16, alpha evaluated per block, and the far moments summed along the
-    points axis of (pieces x distances x 8) arrays.  The slow reference the
-    assembly must match bit for bit."""
+    """assemble_matrix's loop without runs of equal samples: every piece in
+    blocks of 16, alpha evaluated per block, and the far moments summed
+    along the points axis of (pieces x distances x 8) arrays.  The slow
+    reference the assembly must match bit for bit."""
     nodes, weights, corner_nodes = spectral._NODES, spectral._WEIGHTS, spectral._CORNER
     h = r / n
     prefactor = (n / r) ** (1.0 / p - 1.0 / q + 1.0)
@@ -366,6 +367,24 @@ class TestAssembly:
         with pytest.raises(ValueError):
             OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=bad)
 
+    @pytest.mark.parametrize("n", [2, 128, 129, 300])
+    @pytest.mark.parametrize("corner", ["first-row", "last-column"])
+    def test_single_upper_entry_is_rejected(self, n, corner):
+        # the check runs 128 rows at a time: past n = 128, (0, n-1) sits right
+        # of row 0's diagonal block; (n-2, n-1) does too at n = 129, and lies
+        # inside the last diagonal block at n = 300
+        e = np.tril(np.ones((n, n)))
+        e[(0, n - 1) if corner == "first-row" else (n - 2, n - 1)] = 1e-300
+        with pytest.raises(ValueError, match="strict upper triangle"):
+            OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=e)
+
+    @pytest.mark.parametrize("n", [2, 129, 300])
+    def test_negative_zero_upper_entries_are_accepted(self, n):
+        e = np.tril(np.ones((n, n)))
+        e[np.triu_indices(n, 1)] = -0.0
+        m = OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=e)
+        assert np.signbit(m.entries[0, n - 1]) and np.signbit(m.entries[n - 2, n - 1])
+
     @pytest.mark.parametrize("shape", [(3, 2), (4,), (2, 2, 2)])
     def test_non_square_entries_are_rejected(self, shape):
         with pytest.raises(ValueError, match="square"):
@@ -489,15 +508,44 @@ FLAT_ORDERS = st.one_of(
     ),
 )
 
-# the orders the fixed-size bit identity runs on: one-row, blocked and cut
+# orders equal to a constant on [e^-1, 1], so the cells there form one run
+CAPPED_LOG_ORDERS = st.one_of(
+    st.builds(LogPowerOffset, st.floats(0.05, 1.5), st.floats(0.05, 1.5), st.floats(0.1, 3.0)),
+    st.builds(LogPower, st.floats(0.1, 1.0)),
+    st.just(ReciprocalLog()),
+)
+
+# orders whose samples repeat from cell to cell in runs: tables drawing
+# their values from three levels, so neighbouring values are often equal,
+# and wrapped capped-log orders
+RUN_ORDERS = st.one_of(
+    st.builds(
+        lambda inner, values, interpolation: Tabulated(
+            (0.0, *sorted(inner), 1.0), tuple(values[: len(inner) + 2]), interpolation
+        ),
+        st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4, unique=True),
+        st.lists(st.sampled_from([0.3, 0.9, 1.6]), min_size=6, max_size=6),
+        st.sampled_from(["linear", "step"]),
+    ),
+    st.builds(Shifted, CAPPED_LOG_ORDERS, st.floats(0.05, 1.5)),
+    st.builds(Rescaled, CAPPED_LOG_ORDERS, st.floats(0.4, 1.0)),
+)
+
+# the orders the fixed-size bit identity runs on: one run, runs beside
+# blocked and cut cells, no runs
 BIT_ORDERS = [
     Constant(0.05),
     Constant(2.5),
     PowerOffset(0.5, 1.0, 2.0),
     ExpOffset(0.5, 1.0, 1.0),
     LogPowerOffset(0.5, 1.0, 1.0),
+    LogPowerOffset(0.3, 0.5, 1.0),
+    ReciprocalLog(),
+    LogPower(0.5),
     Tabulated((0.0, 0.3, 0.61, 1.0), (0.8, 0.8, 0.8, 0.8)),
+    Tabulated((0.0, 0.3, 0.6, 1.0), (0.5, 0.9, 0.9, 1.2)),
     Tabulated(*SPLIT_TABLE, "step"),
+    Tabulated((0.0, 0.25, 0.5, 0.75, 1.0), (0.5, 0.5, 0.9, 0.9, 1.2), "step"),
 ]
 
 
@@ -535,6 +583,25 @@ class TestAssemblyPaths:
         assemble_matrix(PowerOffset(0.5, 1.0, 2.0), 64)
         assert calls == [(16, 15), (16, 31), (16, 47), (16, 63)]
 
+    @given(alpha=RUN_ORDERS, n=st.integers(1, 96))
+    @settings(max_examples=60, deadline=None)
+    def test_runs_match_blocked_loop_bitwise_property(self, alpha, n):
+        assert np.array_equal(assemble_matrix(alpha, n).entries, blocked_entries(alpha, n))
+
+    def test_capped_log_order_computes_one_row_per_run(self, monkeypatch):
+        # at n = 64, e^-1 cuts cell 23: cells 0..22 and the two pieces of
+        # cell 23 are computed, and the run 24..63 by its last row
+        calls = moments_calls(monkeypatch)
+        assemble_matrix(LogPowerOffset(0.3, 0.5, 1.0), 64)
+        assert calls == [(16, 15), (10, 63)]
+
+    def test_capped_log_order_at_n_256(self, monkeypatch):
+        # cells 0..93, the two pieces of cell 94, and the run 95..255
+        calls = moments_calls(monkeypatch)
+        assemble_matrix(LogPowerOffset(0.3, 0.5, 1.0), 256)
+        assert sum(pieces for pieces, _ in calls) == 97
+        assert calls[-1] == (1, 255)
+
     @pytest.mark.parametrize(
         "alpha, n, chunks",
         [
@@ -565,11 +632,15 @@ class TestLargeOrders:
         with pytest.raises(ValueError, match=rf"up to {value!r} at n = 256"):
             assemble_matrix(Constant(value), 256)
 
-    def test_rejection_in_a_block_names_the_largest_sample(self):
-        # the large value sits on cells 128.. only, so the blocked path meets it
+    def test_rejection_in_a_block_names_the_largest_sample(self, monkeypatch):
+        # the node 0.5 is a cell edge, so cells 0..127 and 128..255 form two
+        # runs, whose last rows share one block; the large value sits on the
+        # second run only
+        calls = moments_calls(monkeypatch)
         alpha = Tabulated((0.0, 0.5, 1.0), (0.5, 100.0, 100.0), "step")
         with pytest.raises(ValueError, match=r"up to 100\.0 at n = 256"):
             assemble_matrix(alpha, 256)
+        assert calls == [(2, 255)]
 
     def test_approximation_numbers_reject_instead_of_nan_drift(self):
         with pytest.raises(ValueError, match=r"at n = 1024"):
