@@ -38,7 +38,6 @@ from .orders import (
     LogPower,
     LogPowerOffset,
     OrderFunction,
-    OrderFunctionError,
     PowerOffset,
     ReciprocalLog,
     Tabulated,
@@ -47,11 +46,12 @@ from .orders import (
 __all__ = ["main"]
 
 #: names the subcommands take from the modules that not every subcommand
-#: runs.  A subcommand binds a module's names into this module's globals
-#: before it first calls one (``_bind``), and looking a name up on this module
-#: from outside binds it too (``__getattr__``).  So ``apply`` never imports
-#: these modules, and a name set on this module from outside, such as a
-#: test's stand-in or a tracing wrapper, is the one the subcommands call.
+#: runs.  The module ``__getattr__`` is the one place that imports such a
+#: module: the first lookup of any of its names binds them all into this
+#: module's globals, keeping a name already set there.  Subcommands call them
+#: as attributes of this module (``_self``), so ``apply`` never imports these
+#: modules, and a name set on this module from outside, such as a test's
+#: stand-in or a tracing wrapper, is the one the subcommands call.
 _LAZY = {
     "diagnostics": (
         "classify_compactness",
@@ -73,18 +73,15 @@ _LAZY = {
     ),
 }
 
-
-def _bind(module: str) -> None:
-    """Import ``module`` and bind those of its ``_LAZY`` names not bound yet."""
-    source = _module(module)
-    for name in _LAZY[module]:
-        globals().setdefault(name, getattr(source, name))
+_self = sys.modules[__name__]
 
 
 def __getattr__(name: str):
     for module, names in _LAZY.items():
         if name in names:
-            _bind(module)
+            source = _module(module)
+            for lazy in names:
+                globals().setdefault(lazy, getattr(source, lazy))
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -226,23 +223,21 @@ def cmd_apply(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    _bind("diagnostics")
     alpha = parse_alpha(args.alpha)
     check = args.check
     if check == "l1criterion":
-        report = l1_criterion_integral(alpha).to_dict()
+        report = _self.l1_criterion_integral(alpha).to_dict()
     elif check == "l1norm":
-        report = l1_operator_norm(alpha).to_dict()
+        report = _self.l1_operator_norm(alpha).to_dict()
     elif check == "lptolinf":
-        report = lp_to_linf_norm(alpha, args.p).to_dict()
+        report = _self.lp_to_linf_norm(alpha, args.p).to_dict()
     else:
-        report = classify_compactness(alpha, check.split("-")[1]).to_dict()
+        report = _self.classify_compactness(alpha, check.split("-")[1]).to_dict()
     _emit(_json_dumps({"alpha": args.alpha, "check": check, "report": report}), args.output)
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
-    _bind("spectral")
     if (args.alpha is None) == (args.matrix is None):
         raise ValueError("spectrum needs exactly one of --alpha and --matrix")
     if args.matrix is not None:
@@ -258,8 +253,8 @@ def cmd_spectrum(args) -> int:
         if named:
             raise ValueError(f"spectrum --matrix uses the file as it is; drop {', '.join(named)}")
         entries = _load_matrix(args.matrix)
-        m = OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=entries)
-        _emit(_spectrum_text(singular_values(m)), args.output)
+        m = _self.OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=entries)
+        _emit(_self._spectrum_text(_self.singular_values(m)), args.output)
         return EXIT_OK
     alpha = parse_alpha(args.alpha)
     if args.fit:
@@ -274,7 +269,7 @@ def cmd_spectrum(args) -> int:
                 f"need 1 <= --fit-lo < min(--fit-hi, --n-max), got --fit-lo {lo}, "
                 f"--fit-hi {args.fit_hi}, --n-max {args.n_max}"
             )
-        report = approximation_numbers(alpha, n_max=args.n_max, n_disc=args.n, r=args.r)
+        report = _self.approximation_numbers(alpha, n_max=args.n_max, n_disc=args.n, r=args.r)
         ks = np.arange(lo, hi + 1)
         slope, intercept = np.polyfit(np.log(ks), np.log(report.values[ks - 1]), 1)
         payload = {
@@ -290,9 +285,9 @@ def cmd_spectrum(args) -> int:
         _emit(_json_dumps(payload), args.output)
         return EXIT_OK
     n = 256 if args.n is None else args.n
-    _check_dense_size(n)
-    m = assemble_matrix(alpha, n=n, r=args.r, p=args.p, q=args.q)
-    _emit(_spectrum_text(singular_values(m)), args.output)
+    _self._check_dense_size(n)
+    m = _self.assemble_matrix(alpha, n=n, r=args.r, p=args.p, q=args.q)
+    _emit(_self._spectrum_text(_self.singular_values(m)), args.output)
     return EXIT_OK
 
 
@@ -306,17 +301,16 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def cmd_entropy(args) -> int:
-    _bind("entropy")
     alpha = parse_alpha(args.alpha)
-    family = family_name(alpha)
+    family = _self.family_name(alpha)
     grid = parse_ngrid(args.n_grid)
-    est = build_example_estimate(alpha, grid, p=args.p, q=args.q)
+    est = _self.build_example_estimate(alpha, grid, p=args.p, q=args.q)
     # the bracket CSV goes to --output, or to stdout when no fit summary takes it
     if args.output or not args.fit:
         _emit(est.csv_text(), args.output)
     if args.fit:
         sides = ["upper", "predicted"] + (["lower"] if est.lower is not None else [])
-        fits = {side: fit_rate(est, args.fit, side).to_dict() for side in sides}
+        fits = {side: _self.fit_rate(est, args.fit, side).to_dict() for side in sides}
         payload = {
             "alpha": args.alpha,
             "family": family,
@@ -353,12 +347,11 @@ def _identity_pass(coarse: float, fine: float) -> bool:
 def _verify_identities(alpha: OrderFunction, n_cells: int) -> dict:
     if n_cells > MAX_N_CELLS:
         raise ValueError(f"--n-cells is capped at {MAX_N_CELLS}, got {n_cells}")
-    _bind("diagnostics")
     f = parse_f("cos3")
-    sg1 = verify_semigroup(alpha, 0.5, f, n_cells)
-    sg2 = verify_semigroup(alpha, 0.5, f, 2 * n_cells)
-    sc1 = verify_scaling(alpha, 0.5, 2.0, 2.0, f, n_cells)
-    sc2 = verify_scaling(alpha, 0.5, 2.0, 2.0, f, 2 * n_cells)
+    sg1 = _self.verify_semigroup(alpha, 0.5, f, n_cells)
+    sg2 = _self.verify_semigroup(alpha, 0.5, f, 2 * n_cells)
+    sc1 = _self.verify_scaling(alpha, 0.5, 2.0, 2.0, f, n_cells)
+    sc2 = _self.verify_scaling(alpha, 0.5, 2.0, 2.0, f, 2 * n_cells)
     sg_pass = _identity_pass(sg1, sg2)
     sc_pass = _identity_pass(sc1, sc2)
     return {
@@ -369,8 +362,7 @@ def _verify_identities(alpha: OrderFunction, n_cells: int) -> dict:
 
 
 def _verify_witness(alpha: OrderFunction, p: float, n_max: int) -> dict:
-    _bind("diagnostics")
-    values = witness_separation(alpha, p, n_max)
+    values = _self.witness_separation(alpha, p, n_max)
     tail = values[-min(10, len(values)) :]
     liminf_positive = bool(np.min(tail) >= 0.5 * np.max(tail) and np.min(tail) > 0.0)
     decays = bool(values[-1] < 0.1 * values[0])
@@ -497,7 +489,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"seed must be nonnegative, got {args.seed}")
         return args.func(args)
-    except (OrderFunctionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"varfrac: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

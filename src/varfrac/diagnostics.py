@@ -160,14 +160,17 @@ def _ladder_report(evidence, value: float, method: str) -> NormReport:
 
 
 def _octave_edges(lo: float, hi: float, extra=()) -> np.ndarray:
-    """Geometric edges doubling from lo up to hi, merged with extra points."""
+    """Geometric edges graded toward both ends, merged with extra points.
+
+    They double from lo up to hi, and halve the distance to hi down to
+    (hi - lo) * 2^-15, where a large order's t^(a - 1) has its mass.
+    """
     n = max(int(math.ceil(math.log2(hi / lo))), 1)
     edges = hi * 2.0 ** -np.arange(n, -1, -1, dtype=float)
     edges[0] = lo
-    pts = [p for p in extra if lo < p < hi]
-    if pts:
-        edges = _sorted_unique(np.concatenate((edges, np.asarray(pts, dtype=float))))
-    return edges
+    top = hi - (hi - lo) * 2.0 ** -np.arange(2, 16, dtype=float)
+    pts = np.asarray([p for p in extra if lo < p < hi], dtype=float)
+    return _sorted_unique(np.concatenate((edges, top, pts)))
 
 
 # --------------------------------------------------------------------------

@@ -126,12 +126,10 @@ class RateFit:
         return asdict(self)
 
 
-class _BoundRangeError(ValueError):
-    """A bound that is not a normal double, at row ``position`` of ``column``."""
-
-    def __init__(self, column: str, position: int, value: float, where: str):
-        self.column, self.position, self.value = column, position, value
-        super().__init__(
+def _check_normal(column: str, value: float, where: str) -> None:
+    """Reject a ``column`` bound at ``where`` that is not a normal double."""
+    if not (math.isfinite(value) and value >= sys.float_info.min):
+        raise ValueError(
             f"{column} bound at {where} is {value!r}; bounds must be finite and at "
             f"least {sys.float_info.min!r}, the smallest normal double"
         )
@@ -163,10 +161,8 @@ class EntropyEstimate:
                 raise ValueError(f"{name} must align with n_values")
         for i, n in enumerate(ns):
             for name, values in columns.items():
-                if values is not None and not (
-                    math.isfinite(values[i]) and values[i] >= sys.float_info.min
-                ):
-                    raise _BoundRangeError(name, i, values[i], f"n = {n}")
+                if values is not None:
+                    _check_normal(name, values[i], f"n = {n}")
         up, lo = columns["upper"], columns["lower"]
         if lo is not None and any(a > b for a, b in zip(lo, up)):
             raise ValueError("lower bound exceeds upper bound")
@@ -483,19 +479,18 @@ def build_example_estimate(
         else:
             half = (n + 1) // 2
             ups.append(two_block_upper(alpha, radii["upper"], half, half, p, q))
+        _check_normal("upper", ups[-1], f"grid value {n}")
         if "lower" in radii:
             lows.append(formula_lower(alpha, radii["lower"], idx, p, q))
+            _check_normal("lower", lows[-1], f"grid value {n}")
         preds.append(predict_rate(alpha, idx, p, q)["upper"])
-    try:
-        return EntropyEstimate(
-            n_values=tuple(idx for _, idx, _, _ in plan),
-            lower=tuple(lows) if lows else None,
-            upper=tuple(ups),
-            predicted=tuple(preds),
-        )
-    except _BoundRangeError as exc:
-        n = plan[exc.position][0]
-        raise _BoundRangeError(exc.column, exc.position, exc.value, f"grid value {n}") from None
+        _check_normal("predicted", preds[-1], f"grid value {n}")
+    return EntropyEstimate(
+        n_values=tuple(idx for _, idx, _, _ in plan),
+        lower=tuple(lows) if lows else None,
+        upper=tuple(ups),
+        predicted=tuple(preds),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -580,6 +580,16 @@ class TestNormalRange:
         with pytest.raises(ValueError, match=f"lower bound at grid value {2 ** (last + 1)} "):
             build_example_estimate(alpha, [2 ** (last + 1)])
 
+    def test_first_row_out_of_range_is_named(self):
+        with pytest.raises(ValueError, match=f"lower bound at grid value {2**332} "):
+            build_example_estimate(PowerOffset(3.0, 1.0, 1.0), [2**332, 2**333])
+
+    def test_grid_checks_run_before_any_bound(self):
+        # the first row's bounds leave the range, but the second row's grid
+        # value is checked first
+        with pytest.raises(ValueError, match="must be at least"):
+            build_example_estimate(PowerOffset(3.0, 1.0, 1.0), [2**332, 2])
+
     def test_threshold_family_normal_up_to_the_cli_cap(self):
         est = build_example_estimate(EX4, [2**1023])
         assert min(est.upper + est.predicted) >= sys.float_info.min

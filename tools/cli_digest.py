@@ -21,8 +21,8 @@ The command set is 9 orders (seven spec families and two ``csv:`` tables,
 one linear and one step) times ``apply`` (R and Q), the five ``diagnose``
 checks, ``spectrum --n 32``, ``spectrum --fit`` and the three ``verify``
 suites; ``entropy`` five ways for each worked family and once on a grid
-past 2^1000; every ``varfrac`` command in README.md; and a few inputs that
-the CLI must reject.
+past 2^1000; the two L1 ``diagnose`` checks at order 100; every ``varfrac``
+command in README.md; and a few inputs that the CLI must reject.
 
 The digests depend on the CPU's SIMD dispatch and on the BLAS build, so
 compare two source trees on one machine; a stored digest from another
@@ -92,6 +92,13 @@ WORKED = ("ex1:0.5,1,1", "ex2:0.5,1,2", "ex3:0.5,1,1", "ex4:0.5")
 # smallest double
 LARGE_GRIDS = ("entropy --alpha ex4:0.5 --n-grid 2^1000..2^1005",)
 
+# the L1 criteria at an order far past 31, where one 16-point Gauss panel on
+# [1/2, 1] cannot integrate t^(a - 1), so the panels must grade toward t = 1
+LARGE_ORDERS = (
+    "diagnose --alpha const:100 --check l1criterion",
+    "diagnose --alpha const:100 --check l1norm",
+)
+
 CHECKS = ("l1criterion", "l1norm", "lptolinf", "compact-zero", "compact-one")
 
 REJECTED = (
@@ -158,7 +165,7 @@ def readme_commands() -> list[str]:
 def all_commands() -> list[str]:
     cmds = [c for alpha in ORDERS for c in order_commands(alpha)]
     cmds += [c for alpha in WORKED for c in entropy_commands(alpha)]
-    return cmds + list(LARGE_GRIDS) + readme_commands() + list(REJECTED)
+    return cmds + list(LARGE_GRIDS + LARGE_ORDERS) + readme_commands() + list(REJECTED)
 
 
 def make_workdir(path: Path) -> Path:
