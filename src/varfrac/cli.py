@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -49,9 +50,10 @@ __all__ = ["main"]
 #: runs.  The module ``__getattr__`` is the one place that imports such a
 #: module: the first lookup of any of its names binds them all into this
 #: module's globals, keeping a name already set there.  Subcommands call them
-#: as attributes of this module (``_self``), so ``apply`` never imports these
-#: modules, and a name set on this module from outside, such as a test's
-#: stand-in or a tracing wrapper, is the one the subcommands call.
+#: as attributes of ``_self``, which reads this module's globals, so ``apply``
+#: never imports these modules, and a name set on this module from outside,
+#: such as a test's stand-in or a tracing wrapper, is the one the subcommands
+#: call.
 _LAZY = {
     "diagnostics": (
         "classify_compactness",
@@ -73,8 +75,6 @@ _LAZY = {
     ),
 }
 
-_self = sys.modules[__name__]
-
 
 def __getattr__(name: str):
     for module, names in _LAZY.items():
@@ -84,6 +84,23 @@ def __getattr__(name: str):
                 globals().setdefault(lazy, getattr(source, lazy))
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _Globals:
+    """This module's globals as attributes, deferred names bound on first use.
+
+    It reads ``globals()``, not ``sys.modules[__name__]``: run as
+    ``__main__`` through ``runpy.run_module`` (``python -m cProfile -m
+    varfrac.cli``), the code runs in a namespace that ``sys.modules`` does
+    not hold under that name.
+    """
+
+    def __getattr__(self, name: str):
+        namespace = globals()
+        return namespace[name] if name in namespace else __getattr__(name)
+
+
+_self = _Globals()
 
 
 EXIT_OK = 0
@@ -480,7 +497,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code.
+
+    Called without ``argv``, as ``python -m varfrac.cli`` and the ``varfrac``
+    script do, it reads ``sys.argv`` and, once the command has returned,
+    freezes the collector: the process is about to exit, and the collections
+    that interpreter shutdown runs would only trace the objects numpy and
+    varfrac leave tracked to free memory the OS takes back anyway.  A caller
+    that passes ``argv``, such as a test or a tracing wrapper, keeps its
+    collector as it was.
+    """
+    code = _run(build_parser().parse_args(argv))
+    if argv is None:
+        gc.freeze()
+    return code
+
+
+def _run(args) -> int:
     try:
         p, q = getattr(args, "p", 2.0), getattr(args, "q", 2.0)
         # written so that a NaN exponent fails the check too

@@ -21,6 +21,7 @@ constants; and the CSV reader and writers of the package's files.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import tempfile
@@ -681,17 +682,27 @@ def csv_text(head: str, rows) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file + rename so failures never leave partial output."""
+    """Write via a temp file in the target's directory + rename, so failures
+    never leave partial output.
+
+    An ``OSError`` names ``path``, not the temp file, and an existing
+    directory is refused before any temp file is made.
+    """
     path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", text=True)
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise

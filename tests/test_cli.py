@@ -1,6 +1,8 @@
 """Command-line interface: spec grammar, subcommand payloads, exit codes,
 output determinism."""
 
+import errno
+import gc
 import json
 import math
 import os
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import varfrac.cli as cli
+import varfrac.core as core
 from varfrac.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -622,8 +625,40 @@ class TestExitCodes:
             "apply", "--alpha", "const:1", "--targets", "3", "--output", str(target),
         )
         assert rc == EXIT_USAGE
+        assert err == f"varfrac: [Errno {errno.ENOENT}] No such file or directory: {str(target)!r}\n"
         assert not target.exists()
         assert not target.parent.exists()
+
+    def test_output_directory_refused_before_any_temp_file(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("made a temp file for a directory target")
+
+        monkeypatch.setattr(core.tempfile, "mkstemp", never)
+        target = tmp_path / "out"
+        target.mkdir()
+        rc, _, err = run(
+            capsys,
+            "apply", "--alpha", "const:0.5", "--targets", "0.5", "--output", str(target),
+        )
+        assert rc == EXIT_USAGE
+        assert err == f"varfrac: [Errno {errno.EISDIR}] Is a directory: {str(target)!r}\n"
+        assert list(tmp_path.rglob("*")) == [target]
+
+    def test_failed_rename_names_the_target_and_leaves_no_temp_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(src, dst):
+            raise PermissionError(errno.EACCES, "Permission denied", src, None, dst)
+
+        monkeypatch.setattr(core.os, "replace", refuse)
+        target = tmp_path / "out.csv"
+        rc, _, err = run(
+            capsys,
+            "apply", "--alpha", "const:0.5", "--targets", "0.5", "--output", str(target),
+        )
+        assert rc == EXIT_USAGE
+        assert err == f"varfrac: [Errno {errno.EACCES}] Permission denied: {str(target)!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_numerical_failure_maps_to_exit_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -633,3 +668,91 @@ class TestExitCodes:
         rc, _, err = run(capsys, "apply", "--alpha", "const:1", "--targets", "3")
         assert rc == EXIT_NUMERICAL
         assert "numerical failure" in err
+
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+#: the two ways a process enters the CLI: ``python -m varfrac.cli`` and the
+#: ``varfrac`` console script, which calls ``main()`` without arguments
+ENTRIES = {
+    "module": ["-m", "varfrac.cli"],
+    "script": ["-c", "import sys; from varfrac.cli import main; sys.exit(main())"],
+}
+
+#: exit code and arguments of a command that writes --output, a usage error
+#: and a numerical failure
+ENTRY_CASES = {
+    "output": (EXIT_OK, ["apply", "--alpha", "const:0.5", "--f", "cos3", "--targets", "9",
+                         "--output", "out.csv"]),
+    "usage": (EXIT_USAGE, ["apply", "--alpha", "nope:1"]),
+    "numerical": (EXIT_NUMERICAL, ["apply", "--alpha", "reclog", "--f", "one",
+                                   "--targets", "0,0.5", "--adjoint"]),
+}
+
+
+def written(cwd):
+    path = cwd / "out.csv"
+    return path.read_bytes() if path.exists() else None
+
+
+def in_process(argv, cwd, capsys, monkeypatch):
+    """Exit code, stdout, stderr and --output bytes of ``main(argv)`` in ``cwd``."""
+    monkeypatch.chdir(cwd)
+    return (*run(capsys, *argv), written(cwd))
+
+
+def entry_process(prefix, argv, cwd):
+    """The same four results from a fresh interpreter started as ``prefix``."""
+    proc = subprocess.run(
+        [sys.executable, *prefix, *argv],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, written(cwd)
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("case", ENTRY_CASES)
+    def test_main_with_argv_leaves_the_collector_unfrozen(
+        self, tmp_path, capsys, monkeypatch, case
+    ):
+        code, argv = ENTRY_CASES[case]
+        before = gc.get_freeze_count()
+        assert in_process(argv, tmp_path, capsys, monkeypatch)[0] == code
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("case", ENTRY_CASES)
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_entry_matches_main_with_argv(self, tmp_path, capsys, monkeypatch, entry, case):
+        code, argv = ENTRY_CASES[case]
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        want = in_process(argv, tmp_path / "a", capsys, monkeypatch)
+        assert want[0] == code
+        assert entry_process(ENTRIES[entry], argv, tmp_path / "b") == want
+
+    def test_script_entry_freezes_the_collector_after_the_command(self, tmp_path):
+        # an atexit hook runs after sys.exit, before interpreter shutdown
+        hook = (
+            "import atexit, gc, sys; "
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); "
+        )
+        prefix = ["-c", hook + ENTRIES["script"][1]]
+        rc, out, err, _ = entry_process(prefix, ENTRY_CASES["usage"][1], tmp_path)
+        assert rc == EXIT_USAGE and out == ""
+        assert int(err.splitlines()[-1]) > 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagnose", "--alpha", "const:0.5", "--check", "l1criterion"],
+            ["spectrum", "--alpha", "const:0.5", "--n", "8"],
+        ],
+        ids=["diagnose", "spectrum"],
+    )
+    def test_deferred_names_resolve_under_run_module(self, tmp_path, argv):
+        # cProfile runs the module as __main__ through runpy.run_module, so
+        # sys.modules["__main__"] is cProfile's module, not the CLI's
+        profiled = ["-m", "cProfile", "-o", str(tmp_path / "profile.out"), "-m", "varfrac.cli"]
+        got = entry_process(profiled, argv, tmp_path)
+        assert got == entry_process(ENTRIES["module"], argv, tmp_path)
+        assert got[0] == EXIT_OK

@@ -125,6 +125,8 @@ REJECTED = (
     "spectrum --alpha const:100 --n 256",
     "spectrum --alpha const:100 --fit",
     "spectrum --alpha const:130 --n 256",
+    "apply --alpha const:0.5 --f one --targets 0.5 --output missing/out.csv",
+    "apply --alpha const:0.5 --f one --targets 0.5 --output .",
 )
 
 
@@ -207,7 +209,7 @@ def run_in_process(command: str, workdir: Path) -> dict:
     }
     if "--output" in args:
         path = workdir / args[args.index("--output") + 1]
-        entry["file"] = split_numbers(path.read_text()) if path.exists() else None
+        entry["file"] = split_numbers(path.read_text()) if path.is_file() else None
     return entry
 
 
@@ -253,7 +255,7 @@ def digest(command: str, src: Path, workdir: Path) -> str:
     fields = [str(proc.returncode), _sha(proc.stdout), _sha(proc.stderr)]
     if "--output" in args:
         out = workdir / args[args.index("--output") + 1]
-        fields.append(_sha(out.read_bytes()) if out.exists() else "no-file")
+        fields.append(_sha(out.read_bytes()) if out.is_file() else "no-file")
     return " ".join(fields + [command])
 
 
