@@ -202,8 +202,8 @@ def parse_ngrid(spec: str) -> list[int]:
 
 
 def _floats(tail: str, count: int) -> list[float]:
-    parts = [x for x in tail.split(",") if x != ""]
-    if len(parts) != count:
+    parts = tail.split(",")
+    if len(parts) != count or "" in parts:
         raise ValueError(f"expected {count} comma-separated numbers, got {tail!r}")
     return [float(x) for x in parts]
 
@@ -259,13 +259,7 @@ def cmd_spectrum(args) -> int:
         raise ValueError("spectrum needs exactly one of --alpha and --matrix")
     if args.matrix is not None:
         # the file is the matrix, so nothing would read these flags
-        ignored = {
-            "--fit": args.fit,
-            "--n": args.n is not None,
-            "--r": args.r != 1.0,
-            "--p": args.p != 2.0,
-            "--q": args.q != 2.0,
-        }
+        ignored = {"--fit": args.fit, "--n": args.n is not None, "--r": args.r != 1.0}
         named = [flag for flag, given in ignored.items() if given]
         if named:
             raise ValueError(f"spectrum --matrix uses the file as it is; drop {', '.join(named)}")
@@ -275,11 +269,6 @@ def cmd_spectrum(args) -> int:
         return EXIT_OK
     alpha = parse_alpha(args.alpha)
     if args.fit:
-        if args.p != 2.0 or args.q != 2.0:
-            raise ValueError(
-                "spectrum --fit computes L2 approximation numbers; --p and --q must "
-                f"be 2, got --p {args.p:g}, --q {args.q:g}"
-            )
         lo, hi = args.fit_lo, min(args.fit_hi, args.n_max)
         if not 1 <= lo < hi:
             raise ValueError(
@@ -303,7 +292,7 @@ def cmd_spectrum(args) -> int:
         return EXIT_OK
     n = 256 if args.n is None else args.n
     _self._check_dense_size(n)
-    m = _self.assemble_matrix(alpha, n=n, r=args.r, p=args.p, q=args.q)
+    m = _self.assemble_matrix(alpha, n=n, r=args.r)
     _emit(_self._spectrum_text(_self.singular_values(m)), args.output)
     return EXIT_OK
 
@@ -458,8 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--n", type=int, default=None, help="matrix size (or N_disc with --fit)")
     sp.add_argument("--r", type=float, default=1.0, help="right endpoint of the interval")
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--q", type=float, default=2.0)
     sp.add_argument("--fit", action="store_true", help="fit the approximation-number decay")
     sp.add_argument("--n-max", type=int, default=64, help="number of approximation numbers")
     sp.add_argument("--fit-lo", type=int, default=8, help="first index of the fit window")

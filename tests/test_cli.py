@@ -70,6 +70,10 @@ class TestGrammar:
         for spec in ("foo:1", "ex1:0.5", "const:", "reclog:1"):
             with pytest.raises(ValueError):
                 parse_alpha(spec)
+        # an empty field is an error, not a field to skip
+        for spec in ("ex1:0.5,,1,2", "ex1:,0.5,1,2", "const:0.5,"):
+            with pytest.raises(ValueError, match="comma-separated numbers, got"):
+                parse_alpha(spec)
 
     def test_f_specs(self):
         assert parse_f("one")(0.3) == 1.0
@@ -289,20 +293,30 @@ class TestSpectrum:
         assert "--fit-lo" in err and "--fit-hi" in err and "--n-max" in err
 
     @pytest.mark.parametrize(
-        "exponents",
-        [("--p", "3"), ("--q", "1.5"), ("--p", "3", "--q", "1.5")],
-        ids=["p", "q", "both"],
+        "flags",
+        [
+            ("--alpha", "const:0.5", "--n", "8", "--p", "3"),
+            ("--alpha", "const:0.5", "--n", "8", "--q", "1.5"),
+            ("--alpha", "const:0.5", "--n", "8", "--fit", "--p", "3"),
+            ("--alpha", "const:0.5", "--n", "8", "--fit", "--q", "1.5"),
+            ("--matrix", "m.csv", "--p", "3"),
+        ],
+        ids=["p", "q", "fit-p", "fit-q", "matrix-p"],
     )
-    def test_fit_rejects_non_l2_exponents_before_assembly(self, capsys, monkeypatch, exponents):
+    def test_exponent_flags_are_unrecognized(self, capsys, monkeypatch, flags):
+        # spectrum prints L2 spectra only; argparse must not take the flag
+        # as an abbreviation of another option
         def never(*args, **kwargs):
-            raise AssertionError("the exponents are checked before any assembly")
+            raise AssertionError("argparse rejects the flag before any work")
 
-        monkeypatch.setattr(cli, "approximation_numbers", never)
-        rc, out, err = run(
-            capsys, "spectrum", "--alpha", "const:0.5", "--fit", "--n", "128", *exponents
-        )
-        assert rc == EXIT_USAGE and out == ""
-        assert "--p" in err and "--q" in err
+        for name in ("assemble_matrix", "approximation_numbers", "read_table"):
+            monkeypatch.setattr(cli, name, never)
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", *flags])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(flags[-2:])}" in err
 
     @pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
     def test_needs_exactly_one_of_alpha_and_matrix(self, tmp_path, capsys, both):
@@ -315,8 +329,8 @@ class TestSpectrum:
 
     @pytest.mark.parametrize(
         "flags",
-        [("--fit",), ("--n", "4"), ("--r", "0.5"), ("--p", "3"), ("--q", "1.5")],
-        ids=["fit", "n", "r", "p", "q"],
+        [("--fit",), ("--n", "4"), ("--r", "0.5")],
+        ids=["fit", "n", "r"],
     )
     def test_matrix_rejects_unread_flags_before_reading(
         self, tmp_path, capsys, monkeypatch, flags

@@ -22,7 +22,13 @@ one linear and one step) times ``apply`` (R and Q), the five ``diagnose``
 checks, ``spectrum --n 32``, ``spectrum --fit`` and the three ``verify``
 suites; ``entropy`` five ways for each worked family and once on a grid
 past 2^1000; the two L1 ``diagnose`` checks at order 100; every ``varfrac``
-command in README.md; and a few inputs that the CLI must reject.
+command in README.md; and inputs that the CLI must reject, among them an
+order spec with an empty field and every ``spectrum`` rejection that
+command-line input reaches: flags that ``--matrix`` does not read, a matrix
+file with no rows, not square, not finite or not lower triangular, a size
+of 0 or past the dense cap, an endpoint r of 0, a fit window past
+``--n-max``, and a ``--fit`` discretization below 8 * ``--n-max`` or past
+its cap.
 
 The digests depend on the CPU's SIMD dispatch and on the BLAS build, so
 compare two source trees on one machine; a stored digest from another
@@ -72,6 +78,10 @@ INPUTS = {
     "alpha_bad_directive.csv": "# interpretation=cubic\n0.0,0.5\n1.0,1.5\n",
     "f_step.csv": "# interpretation=step\nnode,value\n0.0,1.0\n0.5,3.0\n1.0,3.0\n",
     "mat.csv": "3,0,0\n0.5,2,0\n0.25,0.5,1\n",
+    "mat_no_rows.csv": "# a header and no data rows\nc0,c1\n",
+    "mat_2x3.csv": "1,0,0\n0,1,0\n",
+    "mat_nan.csv": "1,0\nnan,1\n",
+    "mat_upper.csv": "1,0.5\n0,1\n",
 }
 
 ORDERS = (
@@ -105,8 +115,6 @@ REJECTED = (
     "spectrum --matrix mat.csv --fit",
     "spectrum --matrix mat.csv --n 4",
     "spectrum --matrix mat.csv --r 0.5",
-    "spectrum --matrix mat.csv --p 3",
-    "spectrum --matrix mat.csv --q nan",
     "spectrum --alpha const:0.5 --n 4097",
     "diagnose --alpha const:0.5 --check l1norm --p nan",
     "verify --suite identities --p nan",
@@ -127,6 +135,16 @@ REJECTED = (
     "spectrum --alpha const:130 --n 256",
     "apply --alpha const:0.5 --f one --targets 0.5 --output missing/out.csv",
     "apply --alpha const:0.5 --f one --targets 0.5 --output .",
+    "apply --alpha ex1:0.5,,1,2 --targets 0.5",
+    "spectrum --matrix mat_no_rows.csv",
+    "spectrum --matrix mat_2x3.csv",
+    "spectrum --matrix mat_nan.csv",
+    "spectrum --matrix mat_upper.csv",
+    "spectrum --alpha const:0.5 --n 0",
+    "spectrum --alpha const:0.5 --n 8 --r 0",
+    "spectrum --alpha const:0.5 --fit --n-max 4",
+    "spectrum --alpha const:0.5 --fit --n 100 --n-max 16",
+    "spectrum --alpha const:0.5 --fit --n 4096",
 )
 
 
