@@ -466,11 +466,80 @@ class TestApproximationNumbers:
             approximation_numbers(Constant(1.0), 8, n_disc=3000)
 
 
+# the orders the top-k singular values are checked on: constants down to
+# 0.05, whose values decay slowest, and the worked families
+TOP_K_ORDERS = st.one_of(
+    st.floats(0.05, 3.0).map(Constant),
+    st.builds(PowerOffset, st.floats(0.05, 1.5), st.floats(0.05, 1.5), st.floats(0.1, 3.0)),
+    st.builds(LogPowerOffset, st.floats(0.05, 1.5), st.floats(0.05, 1.5), st.floats(0.1, 3.0)),
+    st.builds(ExpOffset, st.floats(0.05, 1.5), st.floats(0.05, 1.5), st.floats(0.25, 3.0)),
+    st.builds(LogPower, st.floats(0.1, 1.0)),
+    st.just(ReciprocalLog()),
+)
+
+
+class TestTopSingularValues:
+    @given(alpha=TOP_K_ORDERS, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_svd(self, alpha, data):
+        n = data.draw(st.integers(16, 512), label="n")
+        k = data.draw(st.integers(1, n // 16), label="k")
+        e = assemble_matrix(alpha, n).entries
+        got, steps, residual = spectral._top_singular_values(e, k)
+        want = np.linalg.svd(e, compute_uv=False)[:k]
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-10
+        assert residual <= 1e-12 and 2 * k + 8 <= steps <= n
+
+    @given(
+        levels=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=2, unique=True),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_diagonal_with_repeated_entries(self, levels, data):
+        # the Krylov space of a start is invariant after one step per
+        # distinct entry (beta = 0), so every further copy of an entry
+        # comes from a restart
+        counts = data.draw(
+            st.lists(st.integers(1, 100), min_size=len(levels), max_size=len(levels))
+            .filter(lambda c: sum(c) >= 16),
+            label="counts",
+        )
+        d = data.draw(st.permutations(np.repeat(levels, counts).tolist()), label="entries")
+        k = data.draw(st.integers(1, len(d) // 16), label="k")
+        got, _, residual = spectral._top_singular_values(np.diag(d), k)
+        want = np.sort(d)[::-1][:k]
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-10
+        assert residual <= 1e-12
+
+    def test_scaled_identity_restarts_every_step(self):
+        got, steps, _ = spectral._top_singular_values(np.diag(np.full(64, 0.3)), 4)
+        assert got == pytest.approx([0.3] * 4, rel=1e-14)
+        assert steps == 16
+
+    def test_uncertified_after_n_steps_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_CERTIFY", 0.0)
+        with pytest.raises(ArithmeticError, match=r"after 16 steps"):
+            spectral._top_singular_values(assemble_matrix(Constant(0.7), 16).entries, 1)
+
+    @pytest.mark.parametrize("k", [0, 17])
+    def test_rejects_k_outside_the_matrix(self, k):
+        with pytest.raises(ValueError, match=r"need 1 <= k <= 16"):
+            spectral._top_singular_values(np.eye(16), k)
+
+    def test_report_carries_the_certificate(self):
+        rep = approximation_numbers(PowerOffset(0.5, 1.0, 2.0), 16, 128)
+        assert 40 <= rep.lanczos_steps <= 256 and 0.0 < rep.lanczos_residual <= 1e-12
+        fine = assemble_matrix(PowerOffset(0.5, 1.0, 2.0), 256)
+        dense = singular_values(fine)[:16]
+        assert rep.drift == pytest.approx(float(np.max(np.abs(rep.values / dense - 1.0))), rel=1e-10)
+
+
 def coarse_svd_input(monkeypatch, alpha, n_disc) -> np.ndarray:
     """The n_disc-cell matrix approximation_numbers hands to singular_values.
 
-    The SVDs are skipped: the patched singular_values records each matrix
-    and returns a flat spectrum.
+    The singular values are skipped: the patched singular_values records
+    each matrix and returns a flat spectrum, and the fine level's top-k
+    values are flat too.  The dense SVD runs on the coarse matrix alone.
     """
     seen = []
 
@@ -479,9 +548,10 @@ def coarse_svd_input(monkeypatch, alpha, n_disc) -> np.ndarray:
         return np.ones(m.n)
 
     monkeypatch.setattr(spectral, "singular_values", record)
+    monkeypatch.setattr(spectral, "_top_singular_values", lambda e, k: (np.ones(k), 0, 0.0))
     approximation_numbers(alpha, 1, n_disc)
-    assert [m.n for m in seen] == [2 * n_disc, n_disc]
-    return seen[1].entries
+    assert [m.n for m in seen] == [n_disc]
+    return seen[0].entries
 
 
 # orders with breakpoints inside the cells: a Tabulated profile on [0, 1]
