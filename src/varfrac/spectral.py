@@ -328,27 +328,45 @@ def singular_values(m: OperatorMatrix) -> np.ndarray:
     return np.linalg.svd(m.entries, compute_uv=False)
 
 
+def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> None:
+    """Classical Gram-Schmidt of w against the orthonormal rows of basis, in place.
+
+    A second pass runs when the first took more than half of w's squared
+    norm (Kahan-Parlett): the first pass's roundoff is then no longer small
+    against what is left.
+    """
+    before = w @ w
+    w -= (basis @ w) @ basis
+    if w @ w < 0.5 * before:
+        w -= (basis @ w) @ basis
+
+
 def _top_singular_values(a: np.ndarray, k: int) -> tuple[np.ndarray, int, float]:
     """Top k singular values of the square matrix a, certified: (values, steps, residual).
 
     Golub-Kahan-Lanczos from the fixed start cos(golden angle * i): with
     v_1 that start, A V_m = U_m B_m for the upper bidiagonal B_m, and the
-    top k singular values of B_m are the returned ones.  Only the V side is
-    reorthogonalized, by classical Gram-Schmidt done twice against every
-    earlier v, which keeps the Ritz values accurate (Simon & Zha, 2000); U
-    is not kept, since the recurrence needs only its last column.
+    top k singular values of B_m are the returned ones.  Each new u and v
+    is reorthogonalized against all earlier ones (_reorthogonalize).
+    Reorthogonalizing the v alone, with u_i = A v_i / ||A v_i|| in the
+    certificate, does not do: that u_i carries an error of about
+    eps sigma_1 / sigma_i, so for Constant(3) at n = 1024, k = 64 even the
+    dense SVD's own vectors read 5.4e-11, and the v-only run was still
+    uncertified at m = n (and at n = 512, k = 32).
 
     The Ritz residuals beta_m |X[m-1, i]| (X the left singular vectors of
     B_m) are read at m = 2k + 8 and then every k/2 steps.  Once they are
     all within 1e-12 sigma_1, the certificate is formed explicitly: for the
-    Ritz vectors v_i and u_i = A v_i / ||A v_i||, the largest
-    ||A^T u_i - sigma_i v_i|| / sigma_1 must be within 1e-12 too, and it is
-    returned as the residual.  At m = n the Krylov space is the whole
-    space and a failed certificate raises ArithmeticError.
+    unit Ritz vectors u_i = U X e_i and v_i = V Y e_i, the largest of
+    ||A v_i - sigma_i u_i|| and ||A^T u_i - sigma_i v_i||, over sigma_1,
+    must be within 1e-12 too; it bounds the distance from sigma_i to a
+    singular value of a, and it is returned as the residual.  At m = n the
+    Krylov space is the whole space and a failed certificate raises
+    ArithmeticError.
 
     A beta below n eps ||B|| means the Krylov space is invariant: beta is
     taken as zero and the run goes on after step m from the start
-    cos((m + 1) golden angle * i), orthogonalized the same way, so
+    cos((m + 1) golden angle * i), orthogonalized against V, so
     diag(d, ..., d) gives d k times.  A single start finds one copy of a
     repeated singular value per Krylov space, so a multiplicity above one
     shows only after such a restart; the operator matrices' top values are
@@ -360,36 +378,42 @@ def _top_singular_values(a: np.ndarray, k: int) -> tuple[np.ndarray, int, float]
     v = np.cos(_GOLDEN_ANGLE * np.arange(n))
     v /= math.sqrt(v @ v)
     check = min(2 * k + 8, n)
-    basis = np.empty((check, n))
+    # the bases grow with the steps taken, by doubling, up to n rows
+    vs, us = np.empty((check, n)), np.empty((check, n))
     alphas, betas = [], []
-    u, beta, scale = np.zeros(n), 0.0, 0.0
+    beta, scale = 0.0, 0.0
     for m in range(1, n + 1):
-        if m > basis.shape[0]:
-            basis = np.concatenate((basis, np.empty((min(basis.shape[0], n - basis.shape[0]), n))))
-        basis[m - 1] = v
+        if m > vs.shape[0]:
+            grow = np.empty((min(vs.shape[0], n - vs.shape[0]), n))
+            vs, us = np.concatenate((vs, grow)), np.concatenate((us, grow))
+        vs[m - 1] = v
         p = a @ v
-        p -= beta * u
+        if m > 1:
+            p -= beta * us[m - 2]
+            _reorthogonalize(p, us[: m - 1])
         alpha = math.sqrt(p @ p)
-        u = p / alpha
+        u = us[m - 1] = p / alpha
         w = u @ a
         w -= alpha * v
-        done = basis[:m]
-        for _ in range(2):
-            w -= (done @ w) @ done
+        _reorthogonalize(w, vs[:m])
         beta = math.sqrt(w @ w)
         alphas.append(alpha)
         scale = max(scale, alpha, beta)
         if beta <= n * _EPS * scale:
             beta = 0.0
         if m == check or m == n:
-            b = np.diag(alphas) + np.diag(betas, 1)
-            x, s, yt = np.linalg.svd(b)
+            x, s, yt = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
             if m == n or beta * np.max(np.abs(x[-1, :k])) <= _CERTIFY * s[0]:
-                ritz = yt[:k] @ done
-                av = ritz @ a.T
-                av /= np.linalg.norm(av, axis=1, keepdims=True)
-                res = av @ a - s[:k, None] * ritz
-                residual = float(np.max(np.linalg.norm(res, axis=1))) / float(s[0])
+                rv = yt[:k] @ vs[:m]
+                ru = x[:, :k].T @ us[:m]
+                rv /= np.linalg.norm(rv, axis=1, keepdims=True)
+                ru /= np.linalg.norm(ru, axis=1, keepdims=True)
+                sk = s[:k, None]
+                res = np.maximum(
+                    np.linalg.norm(rv @ a.T - sk * ru, axis=1),
+                    np.linalg.norm(ru @ a - sk * rv, axis=1),
+                )
+                residual = float(np.max(res)) / float(s[0])
                 if residual <= _CERTIFY:
                     return s[:k], m, residual
                 if m == n:
@@ -402,8 +426,7 @@ def _top_singular_values(a: np.ndarray, k: int) -> tuple[np.ndarray, int, float]
         if beta == 0.0:
             # invariant subspace: go on from a new start orthogonal to it
             w = np.cos(_GOLDEN_ANGLE * (m + 1) * np.arange(n))
-            for _ in range(2):
-                w -= (done @ w) @ done
+            _reorthogonalize(w, vs[:m])
             v = w / math.sqrt(w @ w)
         else:
             v = w / beta

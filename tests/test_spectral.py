@@ -511,6 +511,16 @@ class TestTopSingularValues:
         assert np.max(np.abs(got / want - 1.0)) <= 1e-10
         assert residual <= 1e-12
 
+    @pytest.mark.parametrize("n, k", [(512, 32), (1024, 64)])
+    def test_fast_decay_certifies(self, n, k):
+        # sigma_k / sigma_1 is 1e-5 and 1.4e-6: with u_i = A v_i / ||A v_i||
+        # in the certificate these ran to m = n uncertified
+        e = assemble_matrix(Constant(3.0), n).entries
+        got, steps, residual = spectral._top_singular_values(e, k)
+        want = np.linalg.svd(e, compute_uv=False)[:k]
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-10
+        assert residual <= 1e-12 and steps < n // 2
+
     def test_scaled_identity_restarts_every_step(self):
         got, steps, _ = spectral._top_singular_values(np.diag(np.full(64, 0.3)), 4)
         assert got == pytest.approx([0.3] * 4, rel=1e-14)

@@ -21,15 +21,15 @@ The command set is 9 orders (seven spec families and two ``csv:`` tables,
 one linear and one step) times ``apply`` (R and Q), the five ``diagnose``
 checks, ``spectrum --n 32``, ``spectrum --fit`` and the three ``verify``
 suites; ``entropy`` five ways for each worked family and once on a grid
-past 2^1000; the two L1 ``diagnose`` checks at order 100; ``spectrum --fit``
-at order 0.05, whose top singular values converge slowest; every ``varfrac``
-command in README.md; and inputs that the CLI must reject, among them an
-order spec with an empty field and every ``spectrum`` rejection that
-command-line input reaches: flags that ``--matrix`` does not read, a matrix
-file with no rows, not square, not finite or not lower triangular, a size
-of 0 or past the dense cap, an endpoint r of 0, a fit window past
-``--n-max``, and a ``--fit`` discretization below 8 * ``--n-max`` or past
-its cap.
+past 2^1000; the two L1 ``diagnose`` checks at order 100;
+``spectrum --fit`` on two orders near 0.05, whose top singular values
+converge slowest; every ``varfrac`` command in README.md; and inputs that
+the CLI must reject, among them an order spec with an empty field and
+every ``spectrum`` rejection that command-line input reaches: flags that
+``--matrix`` does not read, a matrix file with no rows, not square, not
+finite or not lower triangular, a size of 0 or past the dense cap, an
+endpoint r of 0, a fit window past ``--n-max``, and a ``--fit``
+discretization below 8 * ``--n-max`` or past its cap.
 
 The digests depend on the CPU's SIMD dispatch and on the BLAS build, so
 compare two source trees on one machine; a stored digest from another
@@ -110,9 +110,12 @@ LARGE_ORDERS = (
     "diagnose --alpha const:100 --check l1norm",
 )
 
-# the order whose top singular values take the Lanczos solve the most
-# steps measured: 88 at 256 cells for 16 values
-SLOW_LANCZOS = ("spectrum --alpha const:0.05 --fit --n-max 16 --n 128",)
+# orders near 0.05, whose top singular values take the Lanczos solve the
+# most steps measured: 88 and 144 at 256 cells for 16 values
+SLOW_LANCZOS = (
+    "spectrum --alpha const:0.05 --fit --n-max 16 --n 128",
+    "spectrum --alpha ex1:0.05,1.5,3 --fit --n-max 16 --n 128",
+)
 
 CHECKS = ("l1criterion", "l1norm", "lptolinf", "compact-zero", "compact-one")
 
