@@ -26,7 +26,15 @@ order is one run of n cells, and its matrix is exactly Toeplitz (entry
 blocks through one function, _moments, which forms the weights, checks
 their range and sums the moments; the far moments are laid out
 points-major, and their 8 point slabs are added in numpy's own pairwise
-order, so every entry has the bits of a sum along the points axis.
+order, so every computed entry has the bits of a sum along the points axis.
+
+Row i's moments depend on i only through alpha near t_i = i h, so for a
+smooth order each moment column is a smooth function of t.  From n =
+_CHEB_MIN_N up, an order with no breakpoint and no run is first tried from
+_CHEB virtual rows at Chebyshev-Lobatto points in t, every row being read
+off their barycentric interpolant; the try stands only when each column's
+Chebyshev coefficient tail is within _CHEB_TAIL of its largest value, and
+otherwise gives way to the computed rows, bit for bit.
 
 Singular values of this matrix are the approximation numbers of the
 discretized operator for p = q = 2.  approximation_numbers assembles only
@@ -86,6 +94,46 @@ _BLOCK = 16
 #: 16 cells per call made a constant order's n = 256 assembly 10% slower.
 _EVAL_CELLS = 64
 
+#: Chebyshev-Lobatto points in t at which the interpolated assembly
+#: computes its virtual rows.  Against the blocked loop at n = 256, the
+#: largest relative entry error of PowerOffset(0.5, 1, 2) was 1.1e-6 from
+#: 16 points, 2.3e-14 from 32 and 2.7e-14 from 64.
+_CHEB = 33
+
+#: smallest n that tries the interpolated assembly.  Timed on one CPU, one
+#: BLAS thread, interleaved medians, against the direct rows: an accepted
+#: PowerOffset(0.5, 1, 2) took 1.07x at n = 48, 0.83x at 64, 0.65x at 96,
+#: 0.55x at 128, 0.36x at 256 and 0.30x at 512; a failed try of
+#: PowerOffset(0.05, 1.5, 3), all 33 rows, took 1.62x at 64, 1.36x at 128,
+#: 1.18x at 256 and 1.06x at 1024.  From 128 up a success saves more than
+#: a failure costs.
+_CHEB_MIN_N = 128
+
+#: largest coefficient tail the interpolated assembly accepts.  It bounds
+#: errors against a column's largest value, and small entries carry more:
+#: PowerOffset(1.5, 1.5, 3) at n = 256 reads 1.0e-13 and would stand
+#: 4.4e-12 off entry by entry.  At 1e-14, over 560 PowerOffset cases
+#: (alpha0 and lam in 0.05..1.5, gamma in 0.1..3, n in 64..512) every
+#: accepted matrix was within 6.4e-13 of the blocked loop entry by entry
+#: (n = 96), and within 3.4e-13 from n = 128.  PowerOffset(0.5, 1, 2)
+#: reads 3.0e-15 at n = 128, 3.9e-15 at 256 and 7.9e-15 at 512, and
+#: falls back at 1024 (1.5e-14).
+_CHEB_TAIL = 1e-14
+
+#: tail of the 17 even-indexed points past which the try gives up before
+#: the other 16 rows.  Over 160 PowerOffset orders at n = 128, 256 and 512,
+#: accepted ones read up to 6.6e-6 there, and 39% of the rejected ones
+#: passed 1e-4.  A failed try of PowerOffset(0.5, 1, 0.5) then took 1.22x
+#: the direct rows instead of 1.36x at n = 128, 1.11x instead of 1.19x at
+#: 256 and 1.05x instead of 1.07x at 1024.
+_CHEB_HOPELESS = 1e-4
+
+# the Lobatto points on [0, 1], ascending and symmetric about an exact 1/2,
+# and their barycentric weights
+_CHEB_X = 0.5 + 0.5 * np.sin(np.pi * np.arange(1 - _CHEB, _CHEB, 2) / (2 * _CHEB - 2))
+_CHEB_W = (-1.0) ** np.arange(_CHEB)
+_CHEB_W[[0, -1]] *= 0.5
+
 #: largest matrix whose dense singular spectrum the package computes
 _DENSE_CAP = 4096
 
@@ -97,12 +145,17 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Lower-triangular discretization of the operator on n cells of [0, r]."""
+    """Lower-triangular discretization of the operator on n cells of [0, r].
+
+    chebyshev_tail is the coefficient tail of an interpolated assembly
+    (assemble_matrix), 0.0 when the rows were computed directly.
+    """
 
     r: float
     p: float
     q: float
     entries: np.ndarray
+    chebyshev_tail: float = 0.0
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -145,6 +198,8 @@ class ApproximationReport:
     drift      max relative change against the 2*N_disc discretization
     lanczos_steps     Golub-Kahan-Lanczos steps behind the 2*N_disc values
     lanczos_residual  their largest certified residual, relative to sigma_1
+    chebyshev_tail    the 2*N_disc matrix's OperatorMatrix.chebyshev_tail:
+                      0.0 when its rows were computed directly
     converged  drift < 1%; when False the values are still usable but coarse
     """
 
@@ -153,6 +208,7 @@ class ApproximationReport:
     drift: float
     lanczos_steps: int = 0
     lanczos_residual: float = 0.0
+    chebyshev_tail: float = 0.0
 
     @property
     def converged(self) -> bool:
@@ -203,8 +259,16 @@ def assemble_matrix(
     order is one run of n cells, and its matrix is exactly lower-triangular
     Toeplitz with an exactly flat diagonal.  The computed pieces run in
     blocks of _BLOCK, one _moments call (gamma, the weights and their
-    checks, the moments) per block, and every entry has the bits of the
-    blocked loop over all pieces.
+    checks, the moments) per block, and every computed entry has the bits
+    of the blocked loop over all pieces.
+
+    When n >= _CHEB_MIN_N, the order declares no breakpoint and no two
+    cells share their samples, the rows are first interpolated from _CHEB
+    virtual rows (_interpolated_entries).  Those entries are the blocked
+    loop's to about 1e-13 relative, not bit for bit, and the matrix's
+    chebyshev_tail is their coefficient tail.  A try that fails its tail
+    check falls back to the computed rows above, with their bits, and a
+    chebyshev_tail of 0.0.
 
     Raises ValueError, naming n and the largest order sample, when the
     weights of a piece of unit width would not be positive normal doubles
@@ -251,6 +315,12 @@ def assemble_matrix(
     same = whole[:-1] & whole[1:] & np.all(samples[:-1] == samples[1:], axis=1)
     computed = np.flatnonzero(np.append(~same, True))
     run_start = cell[np.append(0, computed[:-1] + 1)]
+    if n >= _CHEB_MIN_N and not alpha.breakpoints and not np.any(same):
+        got = _interpolated_entries(alpha, n, h)
+        if got is not None:
+            entries, tail = got
+            entries *= prefactor
+            return OperatorMatrix(r=r, p=p, q=q, entries=entries, chebyshev_tail=tail)
     cell, lo, width = cell[computed], lo[computed], width[computed]
     entries = np.zeros((n, n))
     for blk in range(0, cell.size, _BLOCK):
@@ -270,6 +340,74 @@ def assemble_matrix(
             entries[i, : i + 1] += row[i::-1]
     entries *= prefactor
     return OperatorMatrix(r=r, p=p, q=q, entries=entries)
+
+
+def _interpolated_entries(alpha: OrderFunction, n: int, h: float):
+    """The n-cell rows interpolated from _CHEB virtual rows: (entries, tail), or None.
+
+    Entry (i, j) is the moment M(t_i, i - j) of the row at t_i = i h, and
+    M(t, d) depends on t only through alpha on [t, t + h].  Virtual rows
+    sit at the Chebyshev-Lobatto points t_c of [0, (n - 1) h]: _moments
+    with x = _NODES, unit width and span n - 1, _BLOCK rows per call.
+    Every row i then takes its moments from the barycentric interpolant
+    through the virtual rows, one (rows x _CHEB) @ (_CHEB x distances)
+    product per 128 rows (Trefethen, Approximation Theory and
+    Approximation Practice, 2013).
+
+    The 17 even-indexed points, a Lobatto set of their own, come first:
+    when their coefficient tail (_chebyshev_tail) passes _CHEB_HOPELESS,
+    or a virtual row leaves the doubles, the try returns None before the
+    other 16 rows.  The result stands only when the tail of all _CHEB
+    points is within _CHEB_TAIL (Aurentz and Trefethen, Chopping a
+    Chebyshev series, ACM TOMS 43, 2017); otherwise it returns None too.
+    The entries lack the prefactor.
+    """
+    s = (n - 1) * _CHEB_X
+    a = alpha.eval(h * (s[:, None] + _NODES))
+    x = np.broadcast_to(_NODES, (_BLOCK, _NODES.size))
+    mom = np.empty((_CHEB, n))
+    try:
+        for k, idx in enumerate((range(0, _CHEB - 1, 2), [_CHEB - 1], range(1, _CHEB, 2))):
+            mom[idx] = _moments(x[: len(idx)], a[idx], 1.0, h, n - 1, n)
+            if k == 1 and not _chebyshev_tail(mom[::2]) <= _CHEB_HOPELESS:
+                return None
+    except ValueError:
+        # a virtual row's samples are no cell's, so its weights can leave
+        # the normal doubles where the cells' do not: the direct rows decide
+        return None
+    tail = _chebyshev_tail(mom)
+    if not tail <= _CHEB_TAIL:
+        return None
+    diff = np.arange(n, dtype=float)[:, None] - s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lagrange = _CHEB_W / diff
+        lagrange /= np.sum(lagrange, axis=1, keepdims=True)
+    # a row at a point takes that point's row
+    hit = np.flatnonzero(np.any(diff == 0.0, axis=1))
+    lagrange[hit] = diff[hit] == 0.0
+    entries = np.zeros((n, n))
+    for r0 in range(0, n, 128):
+        rows = lagrange[r0 : r0 + 128] @ mom[:, : r0 + 128]
+        for i, row in enumerate(rows, start=r0):
+            entries[i, : i + 1] = row[i::-1]
+    return entries, tail
+
+
+def _chebyshev_tail(values: np.ndarray) -> float:
+    """Coefficient tail of the interpolants through values at Lobatto points.
+
+    values holds one column per interpolant, its rows at the m + 1 Lobatto
+    points.  Each column's Chebyshev coefficients are its DCT-I; the tail is
+    the largest of the last three in magnitude over the column's largest
+    value, maximized over the columns.  NaN when a column is all zero.
+    """
+    m = values.shape[0] - 1
+    dct = np.cos(np.pi / m * np.arange(m - 2, m + 1)[:, None] * np.arange(m + 1)) * (2.0 / m)
+    dct[:, [0, -1]] *= 0.5
+    dct[-1] *= 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.max(np.abs(dct @ values), axis=0) / np.max(np.abs(values), axis=0)
+    return float(np.max(ratio))
 
 
 def _moments(x, a, width, h, span, n) -> np.ndarray:
@@ -328,17 +466,20 @@ def singular_values(m: OperatorMatrix) -> np.ndarray:
     return np.linalg.svd(m.entries, compute_uv=False)
 
 
-def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> None:
+def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> float:
     """Classical Gram-Schmidt of w against the orthonormal rows of basis, in place.
 
     A second pass runs when the first took more than half of w's squared
     norm (Kahan-Parlett): the first pass's roundoff is then no longer small
-    against what is left.
+    against what is left.  Returns the squared norm of the result.
     """
     before = w @ w
     w -= (basis @ w) @ basis
-    if w @ w < 0.5 * before:
+    after = w @ w
+    if after < 0.5 * before:
         w -= (basis @ w) @ basis
+        after = w @ w
+    return after
 
 
 def _top_singular_values(a: np.ndarray, k: int) -> tuple[np.ndarray, int, float]:
@@ -390,13 +531,13 @@ def _top_singular_values(a: np.ndarray, k: int) -> tuple[np.ndarray, int, float]
         p = a @ v
         if m > 1:
             p -= beta * us[m - 2]
-            _reorthogonalize(p, us[: m - 1])
-        alpha = math.sqrt(p @ p)
-        u = us[m - 1] = p / alpha
+            alpha = math.sqrt(_reorthogonalize(p, us[: m - 1]))
+        else:
+            alpha = math.sqrt(p @ p)
+        u = np.divide(p, alpha, out=us[m - 1])
         w = u @ a
         w -= alpha * v
-        _reorthogonalize(w, vs[:m])
-        beta = math.sqrt(w @ w)
+        beta = math.sqrt(_reorthogonalize(w, vs[:m]))
         alphas.append(alpha)
         scale = max(scale, alpha, beta)
         if beta <= n * _EPS * scale:
@@ -426,8 +567,7 @@ def _top_singular_values(a: np.ndarray, k: int) -> tuple[np.ndarray, int, float]
         if beta == 0.0:
             # invariant subspace: go on from a new start orthogonal to it
             w = np.cos(_GOLDEN_ANGLE * (m + 1) * np.arange(n))
-            _reorthogonalize(w, vs[:m])
-            v = w / math.sqrt(w @ w)
+            v = w / math.sqrt(_reorthogonalize(w, vs[:m]))
         else:
             v = w / beta
 
@@ -480,7 +620,12 @@ def approximation_numbers(
     sv2, steps, residual = _top_singular_values(e, n_max)
     drift = float(np.max(np.abs(sv / sv2 - 1.0)))
     return ApproximationReport(
-        values=sv, n_disc=n_disc, drift=drift, lanczos_steps=steps, lanczos_residual=residual
+        values=sv,
+        n_disc=n_disc,
+        drift=drift,
+        lanczos_steps=steps,
+        lanczos_residual=residual,
+        chebyshev_tail=fine.chebyshev_tail,
     )
 
 

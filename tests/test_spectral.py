@@ -6,7 +6,7 @@ from itertools import pairwise
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import varfrac.spectral as spectral
 from varfrac.core import K0, gamma
@@ -178,6 +178,14 @@ def blocked_entries(alpha, n: int, r: float = 1.0, p: float = 2.0, q: float = 2.
             entries[i, : i + 1] += mom[k, i::-1]
     entries *= prefactor
     return entries
+
+
+def direct_entries(alpha, n: int) -> np.ndarray:
+    """assemble_matrix's entries with the interpolated rows switched off: the
+    direct rows, which must have blocked_entries' bits for every order and n."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_interpolated_entries", lambda alpha, n, h: None)
+        return assemble_matrix(alpha, n).entries
 
 
 def max_relative_error(got, want, rows=None) -> float:
@@ -543,6 +551,13 @@ class TestTopSingularValues:
         dense = singular_values(fine)[:16]
         assert rep.drift == pytest.approx(float(np.max(np.abs(rep.values / dense - 1.0))), rel=1e-10)
 
+    @pytest.mark.parametrize("alpha", [PowerOffset(0.5, 1.0, 2.0), Constant(1.0)], ids=repr)
+    def test_report_says_how_the_matrix_was_built(self, alpha):
+        # the 256-cell matrix of the first is interpolated, of the second not
+        rep = approximation_numbers(alpha, 16, 128)
+        assert rep.chebyshev_tail == assemble_matrix(alpha, 256).chebyshev_tail
+        assert (rep.chebyshev_tail > 0.0) == isinstance(alpha, PowerOffset)
+
 
 def coarse_svd_input(monkeypatch, alpha, n_disc) -> np.ndarray:
     """The n_disc-cell matrix approximation_numbers hands to singular_values.
@@ -646,12 +661,12 @@ class TestAssemblyPaths:
     @given(alpha=st.one_of(CLOSURE_ORDERS, TABULATED_ORDERS, FLAT_ORDERS), n=st.integers(1, 96))
     @settings(max_examples=60, deadline=None)
     def test_matches_blocked_loop_bitwise_property(self, alpha, n):
-        assert np.array_equal(assemble_matrix(alpha, n).entries, blocked_entries(alpha, n))
+        assert np.array_equal(direct_entries(alpha, n), blocked_entries(alpha, n))
 
     @pytest.mark.parametrize("alpha", BIT_ORDERS, ids=repr)
     @pytest.mark.parametrize("n", [1, 2, 3, 256, 1024])
     def test_matches_blocked_loop_bitwise(self, alpha, n):
-        assert np.array_equal(assemble_matrix(alpha, n).entries, blocked_entries(alpha, n))
+        assert np.array_equal(direct_entries(alpha, n), blocked_entries(alpha, n))
 
     def test_constant_order_computes_one_row(self, monkeypatch):
         calls = moments_calls(monkeypatch)
@@ -663,10 +678,78 @@ class TestAssemblyPaths:
         assemble_matrix(PowerOffset(0.5, 1.0, 2.0), 64)
         assert calls == [(16, 15), (16, 31), (16, 47), (16, 63)]
 
+    def test_smooth_order_interpolates_from_virtual_rows(self, monkeypatch):
+        # the 17 even-indexed Lobatto points, 16 and 1 per call, then the
+        # other 16, each at span n - 1
+        calls = moments_calls(monkeypatch)
+        m = assemble_matrix(PowerOffset(0.5, 1.0, 2.0), 256)
+        assert calls == [(16, 255), (1, 255), (16, 255)]
+        assert 0.0 < m.chebyshev_tail <= spectral._CHEB_TAIL
+
+    def test_order_with_runs_takes_the_direct_rows(self, monkeypatch):
+        # exp(-1/t) rounds away on cells 0..4, which form a run, so the
+        # interpolation is not tried
+        calls = moments_calls(monkeypatch)
+        m = assemble_matrix(ExpOffset(0.5, 1.0, 1.0), 256)
+        assert calls == [(16, 20 + 16 * k) for k in range(15)] + [(11, 255)]
+        assert m.chebyshev_tail == 0.0
+
+    def test_rough_order_gives_up_after_17_virtual_rows(self, monkeypatch):
+        # t^0.5 is not smooth at 0: the 17-point tail is past _CHEB_HOPELESS,
+        # and the direct rows follow
+        calls = moments_calls(monkeypatch)
+        m = assemble_matrix(PowerOffset(0.5, 1.0, 0.5), 256)
+        assert calls == [(16, 255), (1, 255)] + [(16, 15 + 16 * k) for k in range(16)]
+        assert m.chebyshev_tail == 0.0
+
+    def test_virtual_row_out_of_range_takes_the_direct_rows(self, monkeypatch):
+        # a virtual row's samples are no cell's, so its weights can leave
+        # the normal doubles where the cells' do not: the direct rows decide
+        inner = spectral._moments
+
+        def first_call_raises(x, a, width, h, span, n):
+            monkeypatch.setattr(spectral, "_moments", inner)
+            raise ValueError("out of range")
+
+        monkeypatch.setattr(spectral, "_moments", first_call_raises)
+        alpha = PowerOffset(0.5, 1.0, 2.0)
+        m = assemble_matrix(alpha, 128)
+        assert m.chebyshev_tail == 0.0
+        assert np.array_equal(m.entries, blocked_entries(alpha, 128))
+
+    @given(
+        alpha=st.one_of(
+            st.builds(
+                PowerOffset,
+                st.floats(0.05, 1.5),
+                st.floats(0.05, 1.5),
+                st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.1, 3.0)),
+            ),
+            st.builds(ExpOffset, st.floats(0.05, 1.5), st.floats(0.05, 1.5), st.floats(0.25, 3.0)),
+        ),
+        n=st.integers(spectral._CHEB_MIN_N, 512),
+    )
+    @example(alpha=PowerOffset(0.5, 1.0, 2.0), n=256)
+    # the largest entry error of a grid of accepted orders from n = 128: 3.4e-13
+    @example(alpha=PowerOffset(1.5, 1.5, 2.0), n=512)
+    @settings(max_examples=20, deadline=None)
+    def test_interpolated_rows_property(self, alpha, n):
+        # either the direct rows, bit for bit, or within 1e-12 of them entry
+        # by entry and 1e-13 in the top 16 singular values
+        m = assemble_matrix(alpha, n)
+        want = blocked_entries(alpha, n)
+        if m.chebyshev_tail == 0.0:
+            assert np.array_equal(m.entries, want)
+            return
+        assert max_relative_error(m.entries, want) <= 1e-12
+        got_sv = np.linalg.svd(m.entries, compute_uv=False)[:16]
+        want_sv = np.linalg.svd(want, compute_uv=False)[:16]
+        assert np.max(np.abs(got_sv / want_sv - 1.0)) <= 1e-13
+
     @given(alpha=RUN_ORDERS, n=st.integers(1, 96))
     @settings(max_examples=60, deadline=None)
     def test_runs_match_blocked_loop_bitwise_property(self, alpha, n):
-        assert np.array_equal(assemble_matrix(alpha, n).entries, blocked_entries(alpha, n))
+        assert np.array_equal(direct_entries(alpha, n), blocked_entries(alpha, n))
 
     def test_capped_log_order_computes_one_row_per_run(self, monkeypatch):
         # at n = 64, e^-1 cuts cell 23: cells 0..22 and the two pieces of
@@ -685,7 +768,8 @@ class TestAssemblyPaths:
     @pytest.mark.parametrize(
         "alpha, n, chunks",
         [
-            (PowerOffset(0.5, 1.0, 2.0), 200, (64, 64, 64, 8)),
+            # then the interpolation's 33 virtual rows in one call
+            (PowerOffset(0.5, 1.0, 2.0), 200, (64, 64, 64, 8, 33)),
             # the node at 0.3 splits cell 19 of 64, so 65 pieces
             (Tabulated((0.0, 0.3, 1.0), (0.5, 0.9, 0.7)), 64, (64, 1)),
         ],

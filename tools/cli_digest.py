@@ -23,13 +23,15 @@ checks, ``spectrum --n 32``, ``spectrum --fit`` and the three ``verify``
 suites; ``entropy`` five ways for each worked family and once on a grid
 past 2^1000; the two L1 ``diagnose`` checks at order 100;
 ``spectrum --fit`` on two orders near 0.05, whose top singular values
-converge slowest; every ``varfrac`` command in README.md; and inputs that
-the CLI must reject, among them an order spec with an empty field and
-every ``spectrum`` rejection that command-line input reaches: flags that
-``--matrix`` does not read, a matrix file with no rows, not square, not
-finite or not lower triangular, a size of 0 or past the dense cap, an
-endpoint r of 0, a fit window past ``--n-max``, and a ``--fit``
-discretization below 8 * ``--n-max`` or past its cap.
+converge slowest; ``spectrum --n 256`` on a smooth order, whose matrix is
+interpolated, and on one that keeps the direct rows; every ``varfrac``
+command in README.md; and inputs that the CLI must reject, among them an
+order spec with an empty field and every ``spectrum`` rejection that
+command-line input reaches: flags that ``--matrix`` does not read, a matrix
+file with no rows, not square, not finite or not lower triangular, a size
+of 0 or past the dense cap, an endpoint r of 0, a fit window past
+``--n-max``, and a ``--fit`` discretization below 8 * ``--n-max`` or past
+its cap.
 
 The digests depend on the CPU's SIMD dispatch and on the BLAS build, so
 compare two source trees on one machine; a stored digest from another
@@ -117,6 +119,13 @@ SLOW_LANCZOS = (
     "spectrum --alpha ex1:0.05,1.5,3 --fit --n-max 16 --n 128",
 )
 
+# a smooth order whose 256-cell matrix is interpolated from 33 virtual rows,
+# and one whose cells near 0 form a run, so its rows are computed directly
+INTERPOLATED = (
+    "spectrum --alpha ex1:0.5,1,2 --n 256",
+    "spectrum --alpha ex3:0.5,1,1 --n 256",
+)
+
 CHECKS = ("l1criterion", "l1norm", "lptolinf", "compact-zero", "compact-one")
 
 REJECTED = (
@@ -193,7 +202,7 @@ def readme_commands() -> list[str]:
 def all_commands() -> list[str]:
     cmds = [c for alpha in ORDERS for c in order_commands(alpha)]
     cmds += [c for alpha in WORKED for c in entropy_commands(alpha)]
-    cmds += LARGE_GRIDS + LARGE_ORDERS + SLOW_LANCZOS
+    cmds += LARGE_GRIDS + LARGE_ORDERS + SLOW_LANCZOS + INTERPOLATED
     return cmds + readme_commands() + list(REJECTED)
 
 
