@@ -32,9 +32,9 @@ Row i's moments depend on i only through alpha near t_i = i h, so for a
 smooth order each moment column is a smooth function of t.  From n =
 _CHEB_MIN_N up, an order with no breakpoint and no run is first tried from
 _CHEB virtual rows at Chebyshev-Lobatto points in t, every row being read
-off their barycentric interpolant; the try stands only when each column's
-Chebyshev coefficient tail is within _CHEB_TAIL of its largest value, and
-otherwise gives way to the computed rows, bit for bit.
+off their barycentric interpolant in log(M(t, d) / M(0, d)); the try
+stands only when the Chebyshev coefficient tail of every column is within
+_CHEB_TAIL, and otherwise gives way to the computed rows, bit for bit.
 
 Singular values of this matrix are the approximation numbers of the
 discretized operator for p = q = 2.  approximation_numbers assembles only
@@ -102,31 +102,31 @@ _CHEB = 33
 
 #: smallest n that tries the interpolated assembly.  Timed on one CPU, one
 #: BLAS thread, interleaved medians, against the direct rows: an accepted
-#: PowerOffset(0.5, 1, 2) took 1.07x at n = 48, 0.83x at 64, 0.65x at 96,
-#: 0.55x at 128, 0.36x at 256 and 0.30x at 512; a failed try of
-#: PowerOffset(0.05, 1.5, 3), all 33 rows, took 1.62x at 64, 1.36x at 128,
-#: 1.18x at 256 and 1.06x at 1024.  From 128 up a success saves more than
-#: a failure costs.
+#: PowerOffset(0.5, 1, 2) took 0.97x at n = 48, 0.78x at 64, 0.63x at 96,
+#: 0.54x at 128, 0.39x at 256, 0.30x at 512 and 0.21x at 1024; a failed
+#: try of PowerOffset(0.5, 1, 0.5) took 1.39x at 64, 1.24x at 96, 1.20x at
+#: 128, 1.11x at 256 and 1.01x at 1024.  From 128 up a success saves more
+#: than twice what a failure costs.
 _CHEB_MIN_N = 128
 
-#: largest coefficient tail the interpolated assembly accepts.  It bounds
-#: errors against a column's largest value, and small entries carry more:
-#: PowerOffset(1.5, 1.5, 3) at n = 256 reads 1.0e-13 and would stand
-#: 4.4e-12 off entry by entry.  At 1e-14, over 560 PowerOffset cases
-#: (alpha0 and lam in 0.05..1.5, gamma in 0.1..3, n in 64..512) every
-#: accepted matrix was within 6.4e-13 of the blocked loop entry by entry
-#: (n = 96), and within 3.4e-13 from n = 128.  PowerOffset(0.5, 1, 2)
-#: reads 3.0e-15 at n = 128, 3.9e-15 at 256 and 7.9e-15 at 512, and
-#: falls back at 1024 (1.5e-14).
-_CHEB_TAIL = 1e-14
+#: largest coefficient tail the interpolated assembly accepts.  The tail is
+#: taken of log(M(t, d) / M(0, d)), so it tracks the entries' relative
+#: error: interpolating M itself, a tail of 5.6e-15 left PowerOffset(3, 3,
+#: 1) at n = 512 6.6e-8 off entry by entry.  Over 1400
+#: PowerOffset cases (alpha0 and lam in 0.05..3, gamma in 0.1..3, n in
+#: 64..1024) the accepted ones were within 2.7e-13 of the direct rows
+#: entry by entry, and within 1.4e-13 for alpha0, lam <= 1.5 and n in
+#: 128..512.  PowerOffset(0.5, 1, 2) reads 5.1e-15 at n = 128, 5.9e-15 at
+#: 256, 1.1e-14 at 512 and 2.5e-14 at 1024, and falls back at 2048
+#: (5.9e-14).
+_CHEB_TAIL = 3e-14
 
 #: tail of the 17 even-indexed points past which the try gives up before
-#: the other 16 rows.  Over 160 PowerOffset orders at n = 128, 256 and 512,
-#: accepted ones read up to 6.6e-6 there, and 39% of the rejected ones
-#: passed 1e-4.  A failed try of PowerOffset(0.5, 1, 0.5) then took 1.22x
-#: the direct rows instead of 1.36x at n = 128, 1.11x instead of 1.19x at
-#: 256 and 1.05x instead of 1.07x at 1024.
-_CHEB_HOPELESS = 1e-4
+#: the other 16 rows.  Over those 1400 cases the accepted ones read up to
+#: 1.4e-7 there, and 71% of the rejected ones passed 1e-5.  A failed try
+#: of PowerOffset(0.5, 1, 0.5) then took 1.20x the direct rows instead of
+#: 1.34x at n = 128 and 1.11x instead of 1.19x at 256.
+_CHEB_HOPELESS = 1e-5
 
 # the Lobatto points on [0, 1], ascending and symmetric about an exact 1/2,
 # and their barycentric weights
@@ -349,33 +349,38 @@ def _interpolated_entries(alpha: OrderFunction, n: int, h: float):
     M(t, d) depends on t only through alpha on [t, t + h].  Virtual rows
     sit at the Chebyshev-Lobatto points t_c of [0, (n - 1) h]: _moments
     with x = _NODES, unit width and span n - 1, _BLOCK rows per call.
-    Every row i then takes its moments from the barycentric interpolant
-    through the virtual rows, one (rows x _CHEB) @ (_CHEB x distances)
-    product per 128 rows (Trefethen, Approximation Theory and
-    Approximation Practice, 2013).
+    Each column is interpolated as log(M(t, d) / M(0, d)), so the
+    interpolant's absolute error is the entries' relative error, however
+    far a column's magnitude runs in t.  Every row i takes its moments
+    from the barycentric interpolant through the virtual rows, one
+    (rows x _CHEB) @ (_CHEB x distances) product per 128 rows (Trefethen,
+    Approximation Theory and Approximation Practice, 2013).
 
     The 17 even-indexed points, a Lobatto set of their own, come first:
     when their coefficient tail (_chebyshev_tail) passes _CHEB_HOPELESS,
     or a virtual row leaves the doubles, the try returns None before the
     other 16 rows.  The result stands only when the tail of all _CHEB
     points is within _CHEB_TAIL (Aurentz and Trefethen, Chopping a
-    Chebyshev series, ACM TOMS 43, 2017); otherwise it returns None too.
-    The entries lack the prefactor.
+    Chebyshev series, ACM TOMS 43, 2017); otherwise, and when a moment is
+    not positive (a NaN tail), it returns None too.  The entries lack the
+    prefactor.
     """
     s = (n - 1) * _CHEB_X
     a = alpha.eval(h * (s[:, None] + _NODES))
     x = np.broadcast_to(_NODES, (_BLOCK, _NODES.size))
     mom = np.empty((_CHEB, n))
-    try:
-        for k, idx in enumerate((range(0, _CHEB - 1, 2), [_CHEB - 1], range(1, _CHEB, 2))):
-            mom[idx] = _moments(x[: len(idx)], a[idx], 1.0, h, n - 1, n)
-            if k == 1 and not _chebyshev_tail(mom[::2]) <= _CHEB_HOPELESS:
-                return None
-    except ValueError:
-        # a virtual row's samples are no cell's, so its weights can leave
-        # the normal doubles where the cells' do not: the direct rows decide
-        return None
-    tail = _chebyshev_tail(mom)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            for k, idx in enumerate((range(0, _CHEB - 1, 2), [_CHEB - 1], range(1, _CHEB, 2))):
+                mom[idx] = _moments(x[: len(idx)], a[idx], 1.0, h, n - 1, n)
+                if k == 1 and not _chebyshev_tail(np.log(mom[::2] / mom[0])) <= _CHEB_HOPELESS:
+                    return None
+        except ValueError:
+            # a virtual row's samples are no cell's, so its weights can leave
+            # the normal doubles where the cells' do not: the direct rows decide
+            return None
+        logs = np.log(mom / mom[0])
+    tail = _chebyshev_tail(logs)
     if not tail <= _CHEB_TAIL:
         return None
     diff = np.arange(n, dtype=float)[:, None] - s
@@ -387,7 +392,8 @@ def _interpolated_entries(alpha: OrderFunction, n: int, h: float):
     lagrange[hit] = diff[hit] == 0.0
     entries = np.zeros((n, n))
     for r0 in range(0, n, 128):
-        rows = lagrange[r0 : r0 + 128] @ mom[:, : r0 + 128]
+        rows = np.exp(lagrange[r0 : r0 + 128] @ logs[:, : r0 + 128])
+        rows *= mom[0, : r0 + 128]
         for i, row in enumerate(rows, start=r0):
             entries[i, : i + 1] = row[i::-1]
     return entries, tail
@@ -398,16 +404,13 @@ def _chebyshev_tail(values: np.ndarray) -> float:
 
     values holds one column per interpolant, its rows at the m + 1 Lobatto
     points.  Each column's Chebyshev coefficients are its DCT-I; the tail is
-    the largest of the last three in magnitude over the column's largest
-    value, maximized over the columns.  NaN when a column is all zero.
+    the largest magnitude among the last three of any column.
     """
     m = values.shape[0] - 1
     dct = np.cos(np.pi / m * np.arange(m - 2, m + 1)[:, None] * np.arange(m + 1)) * (2.0 / m)
     dct[:, [0, -1]] *= 0.5
     dct[-1] *= 0.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.max(np.abs(dct @ values), axis=0) / np.max(np.abs(values), axis=0)
-    return float(np.max(ratio))
+    return float(np.max(np.abs(dct @ values)))
 
 
 def _moments(x, a, width, h, span, n) -> np.ndarray:
