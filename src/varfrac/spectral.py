@@ -95,9 +95,10 @@ _BLOCK = 16
 _EVAL_CELLS = 64
 
 #: Chebyshev-Lobatto points in t at which the interpolated assembly
-#: computes its virtual rows.  Against the blocked loop at n = 256, the
-#: largest relative entry error of PowerOffset(0.5, 1, 2) was 1.1e-6 from
-#: 16 points, 2.3e-14 from 32 and 2.7e-14 from 64.
+#: computes its virtual rows.  At n = 256, PowerOffset(0.5, 1, 2) was
+#: 6.8e-11 off the direct rows from 17 points and 2.4e-14, 2.8e-14 and
+#: 2.2e-14 from 25, 33 and 65, with tails of 1.2e-9, 9.3e-14, 5.9e-15 and
+#: 4.4e-15: 33 is the fewest whose tail certifies it.
 _CHEB = 33
 
 #: smallest n that tries the interpolated assembly.  Timed on one CPU, one
@@ -111,14 +112,14 @@ _CHEB_MIN_N = 128
 
 #: largest coefficient tail the interpolated assembly accepts.  The tail is
 #: taken of log(M(t, d) / M(0, d)), so it tracks the entries' relative
-#: error: interpolating M itself, a tail of 5.6e-15 left PowerOffset(3, 3,
-#: 1) at n = 512 6.6e-8 off entry by entry.  Over 1400
-#: PowerOffset cases (alpha0 and lam in 0.05..3, gamma in 0.1..3, n in
-#: 64..1024) the accepted ones were within 2.7e-13 of the direct rows
-#: entry by entry, and within 1.4e-13 for alpha0, lam <= 1.5 and n in
-#: 128..512.  PowerOffset(0.5, 1, 2) reads 5.1e-15 at n = 128, 5.9e-15 at
-#: 256, 1.1e-14 at 512 and 2.5e-14 at 1024, and falls back at 2048
-#: (5.9e-14).
+#: error; the tail of M itself, over each column's largest value, read
+#: 5.6e-15 for PowerOffset(3, 3, 1) at n = 512, whose entries it left
+#: 6.6e-8 off.  Over 1400 PowerOffset cases (alpha0 and lam in 0.05..3,
+#: gamma in 0.1..3, n in 64..1024) the accepted ones were within 2.7e-13
+#: of the direct rows entry by entry, and within 1.4e-13 for alpha0,
+#: lam <= 1.5 and n in 128..512.  PowerOffset(0.5, 1, 2) reads 5.1e-15
+#: at n = 128, 5.9e-15 at 256, 1.1e-14 at 512 and 2.5e-14 at 1024, and
+#: falls back at 2048 (5.9e-14).
 _CHEB_TAIL = 3e-14
 
 #: tail of the 17 even-indexed points past which the try gives up before
