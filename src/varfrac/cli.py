@@ -30,7 +30,6 @@ from .core import (
     csv_text,
     maximal_values,
     q_values,
-    read_table,
     rl_values,
 )
 from .orders import (
@@ -66,7 +65,6 @@ _LAZY = {
     ),
     "entropy": ("build_example_estimate", "family_name", "fit_rate"),
     "spectral": (
-        "OperatorMatrix",
         "_check_dense_size",
         "_spectrum_text",
         "approximation_numbers",
@@ -255,18 +253,6 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if (args.alpha is None) == (args.matrix is None):
-        raise ValueError("spectrum needs exactly one of --alpha and --matrix")
-    if args.matrix is not None:
-        # the file is the matrix, so nothing would read these flags
-        ignored = {"--fit": args.fit, "--n": args.n is not None, "--r": args.r != 1.0}
-        named = [flag for flag, given in ignored.items() if given]
-        if named:
-            raise ValueError(f"spectrum --matrix uses the file as it is; drop {', '.join(named)}")
-        entries = _load_matrix(args.matrix)
-        m = _self.OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=entries)
-        _emit(_self._spectrum_text(_self.singular_values(m)), args.output)
-        return EXIT_OK
     alpha = parse_alpha(args.alpha)
     if args.fit:
         lo, hi = args.fit_lo, min(args.fit_hi, args.n_max)
@@ -295,15 +281,6 @@ def cmd_spectrum(args) -> int:
     m = _self.assemble_matrix(alpha, n=n, r=args.r)
     _emit(_self._spectrum_text(_self.singular_values(m)), args.output)
     return EXIT_OK
-
-
-def _load_matrix(path: str) -> np.ndarray:
-    entries, _ = read_table(path)
-    if entries.size == 0:
-        raise ValueError(f"no matrix rows in {path}")
-    if entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"matrix in {path} is not square: shape {entries.shape}")
-    return entries
 
 
 def cmd_entropy(args) -> int:
@@ -444,14 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_diagnose)
 
     sp = sub.add_parser("spectrum", help="singular values / approximation numbers")
-    add_common(sp)
+    add_common(sp, required=True)
     sp.add_argument("--n", type=int, default=None, help="matrix size (or N_disc with --fit)")
     sp.add_argument("--r", type=float, default=1.0, help="right endpoint of the interval")
     sp.add_argument("--fit", action="store_true", help="fit the approximation-number decay")
     sp.add_argument("--n-max", type=int, default=64, help="number of approximation numbers")
     sp.add_argument("--fit-lo", type=int, default=8, help="first index of the fit window")
     sp.add_argument("--fit-hi", type=int, default=64, help="last index of the fit window")
-    sp.add_argument("--matrix", default=None, help="CSV matrix file: report its spectrum")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("entropy", help="entropy-number brackets for the worked families")

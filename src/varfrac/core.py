@@ -387,7 +387,7 @@ class GridFunction:
         `# interpretation=<name>` sets the interpretation (default linear);
         header rows before the first data row are skipped.
         """
-        table, directives = read_table(path, columns=2)
+        table, directives = read_table(path)
         return cls(table[:, 0], table[:, 1], directives.get("interpretation", "linear"))
 
 
@@ -626,23 +626,21 @@ def project_average(f: GridFunction, n: int) -> GridFunction:
 
 
 # -- CSV files ----------------------------------------------------------------
-# Every CSV file the package reads (order tables, grid functions, operator
-# matrices) follows one set of rules: blank lines are skipped, '#' lines are
-# comments and a `# key=value` comment is a directive, rows that are not all
-# numbers are headers while no data row has been read, and such a row after
-# the first data row is an error naming path:line.
+# Every CSV file the package reads (order tables and grid functions) follows
+# one set of rules: blank lines are skipped, '#' lines are comments and a
+# `# key=value` comment is a directive, rows that are not all numbers are
+# headers while no data row has been read, and such a row after the first
+# data row is an error naming path:line.
 
 
-def read_table(path, columns: int | None = None) -> tuple[np.ndarray, dict[str, str]]:
-    """Numeric rows of a CSV file as a 2-D array, and its `# key=value` directives.
+def read_table(path) -> tuple[np.ndarray, dict[str, str]]:
+    """Two-column numeric rows of a CSV file, and its `# key=value` directives.
 
-    Every data row must have `columns` fields, or as many as the first data
-    row when columns is None; ValueError names path:line otherwise.  A file
-    without data rows gives an array with no rows.
+    Every data row must have 2 fields; ValueError names path:line otherwise.
+    A file without data rows gives an array with no rows.
     """
     rows: list[list[float]] = []
     directives: dict[str, str] = {}
-    width = columns
     with open(path, newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -659,12 +657,10 @@ def read_table(path, columns: int | None = None) -> tuple[np.ndarray, dict[str, 
                 if not rows:
                     continue
                 raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}") from None
-            if width is None:
-                width = len(row)
-            if len(row) != width:
-                raise ValueError(f"{path}:{lineno}: need {width} columns, got {len(row)}")
+            if len(row) != 2:
+                raise ValueError(f"{path}:{lineno}: need 2 columns, got {len(row)}")
             rows.append(row)
-    return np.asarray(rows, dtype=float).reshape(len(rows), width or 0), directives
+    return np.asarray(rows, dtype=float).reshape(len(rows), 2), directives
 
 
 def csv_text(head: str, rows) -> str:

@@ -19,6 +19,7 @@ quadrature artifacts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -362,9 +363,13 @@ def witness_separation(alpha: OrderFunction, p: float, n_max: int) -> np.ndarray
     non-compact embedding at 0; norms decaying to 0 are consistent with
     compactness.  Targets are graded toward the left edge of I_n where the
     image ramps up from zero.
+
+    n_max is at most 1021, the last n whose 2^-(n+1) is a normal double.  A
+    norm that is not finite or is below sys.float_info.min is a ValueError
+    naming n and p: an inf or a 0.0 cannot tell compact from non-compact.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    if not 1 <= n_max <= 1021:
+        raise ValueError(f"n_max must be between 1 and 1021, got {n_max}")
     if not p >= 1.0:
         raise ValueError(f"need p >= 1, got {p}")
     out = np.empty(n_max)
@@ -379,7 +384,12 @@ def witness_separation(alpha: OrderFunction, p: float, n_max: int) -> np.ndarray
         )
         targets = left + (right - left) * ramp
         vals = rl_values(alpha, h, targets)
-        out[n - 1] = lp_norm(GridFunction(targets, vals), p)
+        norm = lp_norm(GridFunction(targets, vals), p)
+        if not (math.isfinite(norm) and norm >= sys.float_info.min):
+            raise ValueError(
+                f"witness norm {norm!r} at n = {n}, p = {p} is outside the normal doubles"
+            )
+        out[n - 1] = norm
     return out
 
 

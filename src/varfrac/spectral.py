@@ -48,13 +48,12 @@ bound on the entropy numbers from the matrix diagonal.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _gauss_panels, atomic_write_text, csv_text, gamma
+from .core import _gauss_panels, csv_text, gamma
 from .orders import OrderFunction
 
 __all__ = [
@@ -146,13 +145,14 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Lower-triangular discretization of the operator on n cells of [0, r].
+    """Lower-triangular discretization of the operator on n equal cells.
 
     chebyshev_tail is the coefficient tail of an interpolated assembly
-    (assemble_matrix), 0.0 when the rows were computed directly.
+    (assemble_matrix), 0.0 when the rows were computed directly.  The
+    square, finite and lower-triangular checks guard library callers that
+    pass in entries of their own.
     """
 
-    r: float
     p: float
     q: float
     entries: np.ndarray
@@ -182,11 +182,6 @@ class OperatorMatrix:
     @property
     def diagonal(self) -> np.ndarray:
         return np.diag(self.entries)
-
-    def to_csv(self, path: str) -> None:
-        fields = {"n": self.n, "p": self.p, "q": self.q, "r": self.r}
-        header = json.dumps({"basis_tag": "normalized-indicator", **fields}, sort_keys=True)
-        atomic_write_text(path, csv_text("# " + header, self.entries))
 
 
 @dataclass(frozen=True)
@@ -321,7 +316,7 @@ def assemble_matrix(
         if got is not None:
             entries, tail = got
             entries *= prefactor
-            return OperatorMatrix(r=r, p=p, q=q, entries=entries, chebyshev_tail=tail)
+            return OperatorMatrix(p=p, q=q, entries=entries, chebyshev_tail=tail)
     cell, lo, width = cell[computed], lo[computed], width[computed]
     entries = np.zeros((n, n))
     for blk in range(0, cell.size, _BLOCK):
@@ -340,7 +335,7 @@ def assemble_matrix(
                 entries[m, : m + 1] = row[m::-1]
             entries[i, : i + 1] += row[i::-1]
     entries *= prefactor
-    return OperatorMatrix(r=r, p=p, q=q, entries=entries)
+    return OperatorMatrix(p=p, q=q, entries=entries)
 
 
 def _interpolated_entries(alpha: OrderFunction, n: int, h: float):
@@ -624,7 +619,7 @@ def approximation_numbers(
     blocks = e[0::2, 0::2] + e[0::2, 1::2]
     blocks += e[1::2, 0::2] + e[1::2, 1::2]
     blocks *= 0.5
-    coarse = OperatorMatrix(r=r, p=2.0, q=2.0, entries=blocks)
+    coarse = OperatorMatrix(p=2.0, q=2.0, entries=blocks)
     sv = singular_values(coarse)[:n_max]
     sv2, steps, residual = _top_singular_values(e, n_max)
     drift = float(np.max(np.abs(sv / sv2 - 1.0)))

@@ -299,9 +299,8 @@ class TestSpectrum:
             ("--alpha", "const:0.5", "--n", "8", "--q", "1.5"),
             ("--alpha", "const:0.5", "--n", "8", "--fit", "--p", "3"),
             ("--alpha", "const:0.5", "--n", "8", "--fit", "--q", "1.5"),
-            ("--matrix", "m.csv", "--p", "3"),
         ],
-        ids=["p", "q", "fit-p", "fit-q", "matrix-p"],
+        ids=["p", "q", "fit-p", "fit-q"],
     )
     def test_exponent_flags_are_unrecognized(self, capsys, monkeypatch, flags):
         # spectrum prints L2 spectra only; argparse must not take the flag
@@ -309,7 +308,7 @@ class TestSpectrum:
         def never(*args, **kwargs):
             raise AssertionError("argparse rejects the flag before any work")
 
-        for name in ("assemble_matrix", "approximation_numbers", "read_table"):
+        for name in ("assemble_matrix", "approximation_numbers"):
             monkeypatch.setattr(cli, name, never)
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", *flags])
@@ -318,32 +317,24 @@ class TestSpectrum:
         assert out == ""
         assert f"unrecognized arguments: {' '.join(flags[-2:])}" in err
 
-    @pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
-    def test_needs_exactly_one_of_alpha_and_matrix(self, tmp_path, capsys, both):
-        path = tmp_path / "m.csv"
-        path.write_text("1,0\n0,1\n")
-        source = ("--alpha", "const:1", "--matrix", str(path)) if both else ()
-        rc, out, err = run(capsys, "spectrum", "--n", "8", *source)
-        assert rc == EXIT_USAGE and out == ""
-        assert "--alpha" in err and "--matrix" in err
-
     @pytest.mark.parametrize(
-        "flags",
-        [("--fit",), ("--n", "4"), ("--r", "0.5")],
-        ids=["fit", "n", "r"],
+        "flags, message",
+        [
+            (("--matrix", "m.csv", "--alpha", "const:1"), "unrecognized arguments: --matrix m.csv"),
+            (("--n", "8"), "the following arguments are required: --alpha"),
+        ],
+        ids=["matrix", "no-alpha"],
     )
-    def test_matrix_rejects_unread_flags_before_reading(
-        self, tmp_path, capsys, monkeypatch, flags
-    ):
+    def test_alpha_is_the_only_source(self, capsys, monkeypatch, flags, message):
         def never(*args, **kwargs):
-            raise AssertionError("the flags are checked before the file is read")
+            raise AssertionError("argparse rejects the command before any assembly")
 
-        path = tmp_path / "m.csv"
-        path.write_text("1,0\n0,1\n")
-        monkeypatch.setattr(cli, "read_table", never)
-        rc, out, err = run(capsys, "spectrum", "--matrix", str(path), *flags)
-        assert rc == EXIT_USAGE and out == ""
-        assert flags[0] in err
+        monkeypatch.setattr(cli, "assemble_matrix", never)
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", *flags])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
     @pytest.mark.parametrize("n", ["4097", "100000"])
     def test_dense_cap_checked_before_assembly(self, capsys, monkeypatch, n):
@@ -360,29 +351,6 @@ class TestSpectrum:
         assert rc == EXIT_USAGE and out == ""
         assert "n >= 1" in err
 
-    def test_matrix_echo(self, tmp_path, capsys):
-        path = tmp_path / "m.csv"
-        path.write_text("# any comment\n3,0,0\n0,2,0\n0,0,1\n")
-        rc, out, _ = run(capsys, "spectrum", "--matrix", str(path))
-        assert rc == EXIT_OK
-        _, rows = csv_rows(out)
-        assert [float(v) for _, v in rows] == [3.0, 2.0, 1.0]
-
-    def test_matrix_with_header_row(self, tmp_path, capsys):
-        path = tmp_path / "m.csv"
-        path.write_text("c0,c1,c2\n3,0,0\n0,2,0\n0,0,1\n")
-        rc, out, _ = run(capsys, "spectrum", "--matrix", str(path))
-        assert rc == EXIT_OK
-        _, rows = csv_rows(out)
-        assert [float(v) for _, v in rows] == [3.0, 2.0, 1.0]
-
-    def test_matrix_late_non_numeric_row_rejected(self, tmp_path, capsys):
-        path = tmp_path / "m.csv"
-        path.write_text("3,0,0\n0,2,0\nc0,c1,c2\n0,0,1\n")
-        rc, out, err = run(capsys, "spectrum", "--matrix", str(path))
-        assert rc == EXIT_USAGE and out == ""
-        assert "m.csv:3:" in err
-
     def test_sub_roundoff_values_print_as_zero(self, capsys):
         rc, out, _ = run(capsys, "spectrum", "--alpha", "ex1:0.5,1,1", "--n", "256")
         assert rc == EXIT_OK
@@ -393,20 +361,6 @@ class TestSpectrum:
         assert rows[-1] == ["256", "0.0"]
         for (k, text), v in zip(rows, sv):
             assert text == (repr(float(v)) if v >= floor else "0.0"), k
-
-    def test_non_finite_matrix_rejected(self, tmp_path, capsys):
-        path = tmp_path / "m.csv"
-        path.write_text("1,0,0\n0.5,nan,0\n0,0,1\n")
-        rc, out, err = run(capsys, "spectrum", "--matrix", str(path))
-        assert rc == EXIT_USAGE and out == ""
-        assert "finite" in err
-
-    def test_non_square_matrix_rejected(self, tmp_path, capsys):
-        path = tmp_path / "m.csv"
-        path.write_text("1,0,0\n0,1,0\n")
-        rc, _, err = run(capsys, "spectrum", "--matrix", str(path))
-        assert rc == EXIT_USAGE
-        assert "not square" in err
 
 
 class TestEntropy:

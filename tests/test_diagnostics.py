@@ -3,10 +3,12 @@ classification, witness sequences, and the semigroup/dilation identity checks.""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import varfrac.diagnostics as diagnostics
 from varfrac.core import GridFunction, gamma
 from varfrac.diagnostics import (
     TRUNCATION_EPSILONS,
@@ -273,6 +275,37 @@ class TestWitnesses:
             witness_separation(Constant(1.0), 2.0, 0)
         with pytest.raises(ValueError):
             witness_separation(Constant(1.0), 0.5, 4)
+
+    @pytest.mark.parametrize("n_max", [1022, 1023, 10**6])
+    def test_n_max_past_normal_left_end_rejected_before_work(self, monkeypatch, n_max):
+        # I_n's left end 2^-(n+1) is normal up to n = 1021
+        def never(*args, **kwargs):
+            raise AssertionError("n_max is checked before any work")
+
+        monkeypatch.setattr(diagnostics, "rl_values", never)
+        with pytest.raises(ValueError, match="1021"):
+            witness_separation(Constant(1.0), 1.0, n_max)
+
+    def test_n_max_at_cap_runs(self):
+        vals = witness_separation(Constant(1.0), math.inf, 1021)
+        assert vals.size == 1021 and vals[-1] >= sys.float_info.min
+
+    @pytest.mark.parametrize(
+        "alpha, p, n_max, first",
+        [
+            (Constant(0.5), 1.0, 700, 678),  # overflows to inf on a compact order
+            (ReciprocalLog(), 1.0, 1000, 506),  # inf, and numpy overflow past it
+            (Constant(1.0), 2.0, 600, 534),  # underflows to 0.0
+            (Constant(1.0), 1.0, 1021, 1020),  # subnormal
+        ],
+        ids=["const0.5-inf", "reclog-inf", "const1-zero", "const1-subnormal"],
+    )
+    def test_norm_outside_normal_doubles_rejected(self, alpha, p, n_max, first):
+        # the suite runs with warnings as errors, so a numpy RuntimeWarning
+        # would surface here instead of the ValueError
+        with pytest.raises(ValueError, match=rf"at n = {first}, p = {p}\b"):
+            witness_separation(alpha, p, n_max)
+        assert witness_separation(alpha, p, first - 1)[-1] >= sys.float_info.min
 
 
 class TestSemigroup:

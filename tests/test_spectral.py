@@ -1,6 +1,5 @@
 """Discretized operator matrices, their spectra and the volumetric entropy bound."""
 
-import json
 import math
 from itertools import pairwise
 
@@ -49,7 +48,7 @@ CLOSURE_ORDERS = st.one_of(
 
 def diag_matrix(d, p=2.0, q=2.0) -> OperatorMatrix:
     d = np.asarray(d, dtype=float)
-    return OperatorMatrix(r=1.0, p=p, q=q, entries=np.diag(d))
+    return OperatorMatrix(p=p, q=q, entries=np.diag(d))
 
 
 # orders the assembly is compared on against the slow references below
@@ -368,12 +367,12 @@ class TestAssembly:
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
-            OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=np.ones((2, 3)))
+            OperatorMatrix(p=2.0, q=2.0, entries=np.ones((2, 3)))
         with pytest.raises(ValueError):
-            OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=np.ones((2, 2)))
+            OperatorMatrix(p=2.0, q=2.0, entries=np.ones((2, 2)))
         bad = np.array([[1.0, 0.0], [math.nan, 1.0]])
         with pytest.raises(ValueError):
-            OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=bad)
+            OperatorMatrix(p=2.0, q=2.0, entries=bad)
 
     @pytest.mark.parametrize("n", [2, 128, 129, 300])
     @pytest.mark.parametrize("corner", ["first-row", "last-column"])
@@ -384,40 +383,24 @@ class TestAssembly:
         e = np.tril(np.ones((n, n)))
         e[(0, n - 1) if corner == "first-row" else (n - 2, n - 1)] = 1e-300
         with pytest.raises(ValueError, match="strict upper triangle"):
-            OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=e)
+            OperatorMatrix(p=2.0, q=2.0, entries=e)
 
     @pytest.mark.parametrize("n", [2, 129, 300])
     def test_negative_zero_upper_entries_are_accepted(self, n):
         e = np.tril(np.ones((n, n)))
         e[np.triu_indices(n, 1)] = -0.0
-        m = OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=e)
+        m = OperatorMatrix(p=2.0, q=2.0, entries=e)
         assert np.signbit(m.entries[0, n - 1]) and np.signbit(m.entries[n - 2, n - 1])
 
     @pytest.mark.parametrize("shape", [(3, 2), (4,), (2, 2, 2)])
     def test_non_square_entries_are_rejected(self, shape):
         with pytest.raises(ValueError, match="square"):
-            OperatorMatrix(r=1.0, p=2.0, q=2.0, entries=np.zeros(shape))
+            OperatorMatrix(p=2.0, q=2.0, entries=np.zeros(shape))
 
     def test_size_is_the_entries_side(self):
         m = assemble_matrix(Constant(0.7), 5)
         assert m.n == m.entries.shape[0] == 5
         assert diag_matrix([1.0, 2.0, 3.0]).n == 3
-
-    def test_csv_round_trip(self, tmp_path):
-        m = assemble_matrix(PowerOffset(0.5, 1.0, 1.0), 6, r=0.5, p=2.0, q=4.0)
-        path = tmp_path / "m.csv"
-        m.to_csv(str(path))
-        lines = path.read_text().splitlines()
-        meta = json.loads(lines[0][2:])
-        assert meta == {
-            "basis_tag": "normalized-indicator",
-            "n": 6,
-            "p": 2.0,
-            "q": 4.0,
-            "r": 0.5,
-        }
-        back = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-        assert np.array_equal(back, m.entries)
 
 
 class TestSpectrum:
