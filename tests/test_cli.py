@@ -293,16 +293,17 @@ class TestSpectrum:
         assert "--fit-lo" in err and "--fit-hi" in err and "--n-max" in err
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, unrecognized",
         [
-            ("--alpha", "const:0.5", "--n", "8", "--p", "3"),
-            ("--alpha", "const:0.5", "--n", "8", "--q", "1.5"),
-            ("--alpha", "const:0.5", "--n", "8", "--fit", "--p", "3"),
-            ("--alpha", "const:0.5", "--n", "8", "--fit", "--q", "1.5"),
+            (("--alpha", "const:0.5", "--n", "8", "--p", "3"), "--p 3"),
+            (("--alpha", "const:0.5", "--n", "8", "--q", "1.5"), "--q 1.5"),
+            (("--alpha", "const:0.5", "--n", "8", "--fit", "--p", "3"), "--p 3"),
+            (("--alpha", "const:0.5", "--n", "8", "--fit", "--q", "1.5"), "--q 1.5"),
+            (("--alpha", "const:0.5", "--matrix", "m.csv", "--p", "3"), "--matrix m.csv --p 3"),
         ],
-        ids=["p", "q", "fit-p", "fit-q"],
+        ids=["p", "q", "fit-p", "fit-q", "matrix-p"],
     )
-    def test_exponent_flags_are_unrecognized(self, capsys, monkeypatch, flags):
+    def test_exponent_flags_are_unrecognized(self, capsys, monkeypatch, flags, unrecognized):
         # spectrum prints L2 spectra only; argparse must not take the flag
         # as an abbreviation of another option
         def never(*args, **kwargs):
@@ -315,7 +316,7 @@ class TestSpectrum:
         assert exc.value.code == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"unrecognized arguments: {' '.join(flags[-2:])}" in err
+        assert f"unrecognized arguments: {unrecognized}\n" in err
 
     @pytest.mark.parametrize(
         "flags, message",

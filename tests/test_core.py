@@ -395,6 +395,13 @@ class TestGridFunction:
         with pytest.raises(ValueError, match=r"f\.csv:3:"):
             GridFunction.from_csv(str(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_csv_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "f.csv"
+        path.write_text(f"0,1\n0.5,{value}\n1,2\n")
+        with pytest.raises(ValueError, match="values must be finite"):
+            GridFunction.from_csv(str(path))
+
     def test_abs_inserts_crossing_nodes(self):
         f = GridFunction((0.0, 1.0), (-1.0, 1.0))
         g = abs(f)
@@ -423,6 +430,34 @@ class TestCsvText:
         path.write_text(csv_text("x,y", values))
         table, _ = read_table(str(path))
         assert np.array_equal(table, values)
+
+
+class TestReadTable:
+    def test_comment_and_header_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# any comment\nx,y\n# kind=test\n3,0\n0,2\n")
+        table, directives = read_table(str(path))
+        assert np.array_equal(table, [[3.0, 0.0], [0.0, 2.0]])
+        assert directives == {"kind": "test"}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("0,1,2\n1,2\n", r"t\.csv:1: need 2 columns, got 3"),
+         ("0,1\n\n1\n", r"t\.csv:3: need 2 columns, got 1")],
+        ids=["first-row-wide", "later-row-narrow"],
+    )
+    def test_row_of_other_width_names_line(self, tmp_path, text, message):
+        # every data row needs 2 fields, the first one included
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_table(str(path))
+
+    def test_no_data_rows_gives_two_empty_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# a header and no data rows\nx,y\n")
+        table, _ = read_table(str(path))
+        assert table.shape == (0, 2)
 
 
 class TestSortedUnique:

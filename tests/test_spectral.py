@@ -1,5 +1,6 @@
 """Discretized operator matrices, their spectra and the volumetric entropy bound."""
 
+import dataclasses
 import math
 from itertools import pairwise
 
@@ -373,6 +374,18 @@ class TestAssembly:
         bad = np.array([[1.0, 0.0], [math.nan, 1.0]])
         with pytest.raises(ValueError):
             OperatorMatrix(p=2.0, q=2.0, entries=bad)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entries_are_rejected(self, value):
+        e = np.tril(np.ones((3, 3)))
+        e[2, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            OperatorMatrix(p=2.0, q=2.0, entries=e)
+
+    def test_fields(self):
+        # the grid's endpoint is not a field: only assemble_matrix reads r
+        names = [f.name for f in dataclasses.fields(OperatorMatrix)]
+        assert names == ["p", "q", "entries", "chebyshev_tail"]
 
     @pytest.mark.parametrize("n", [2, 128, 129, 300])
     @pytest.mark.parametrize("corner", ["first-row", "last-column"])
