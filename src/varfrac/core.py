@@ -519,7 +519,12 @@ def lp_norm(f: GridFunction, p) -> float:
         return float(np.dot(h, np.abs(f.values[:-1]) ** p) ** (1.0 / p))
     v0, v1 = f.values[:-1], f.values[1:]
     if p == 2.0:
-        return float(np.sqrt(np.dot(h, (v0 * v0 + v0 * v1 + v1 * v1) / 3.0)))
+        # the values scaled to below 1 and the widths to near 1 by exact
+        # powers of two, so the squares neither underflow nor overflow
+        ev = int(np.frexp(np.max(np.abs(f.values)))[1])
+        eh = int(np.frexp(np.max(h))[1]) // 2
+        v0, v1, h = np.ldexp(v0, -ev), np.ldexp(v1, -ev), np.ldexp(h, -2 * eh)
+        return float(np.ldexp(np.sqrt(np.dot(h, (v0 * v0 + v0 * v1 + v1 * v1) / 3.0)), ev + eh))
     g = abs(f)
     return _panel_gauss(lambda x: np.interp(x, g.nodes, g.values) ** p, g.nodes) ** (1.0 / p)
 
@@ -527,53 +532,105 @@ def lp_norm(f: GridFunction, p) -> float:
 # -- maximal function ---------------------------------------------------------
 
 
-def _window_mass(g: GridFunction, t, r):
-    """int_{t-r}^{t+r} g, elementwise over broadcast t and r, in one cumulative_at call."""
-    ends = g.cumulative_at(np.stack((t + r, t - r)))
-    return ends[0] - ends[1]
+#: elements per (targets x nodes) temporary of the maximal-function sweep;
+#: a block holds _SWEEP_ELEMENTS // nodes targets
+_SWEEP_ELEMENTS = 1 << 15
 
 
 def maximal_values(f: GridFunction, targets) -> np.ndarray:
     """Hardy-Littlewood maximal function sup_{r>0} (1/2r) int_{t-r}^{t+r} |f|.
 
-    |f| is extended by zero outside its domain.  The sup is taken over
-    the exact critical radii: every radius at which a window endpoint crosses
-    a node, the stationary radii of the per-piece quadratic window mass, and
-    the r -> 0 limit (the mean of the one-sided limits of |f|).  This is
-    exact for piecewise-constant f and a certified lower bound otherwise.
-    Targets go in blocks; each row of a block holds one target's radii
-    |nodes - t|, sorted, so consecutive columns bound the pieces.
+    |f| is extended by zero outside its domain.  Exact up to roundoff for
+    both interpretations: each target sweeps its critical radii, the
+    distances to the nodes of |f| (f's nodes and a linear f's roots), in
+    ascending order.  Between two of them each window edge stays in one
+    cell, so the window mass M(r) is quadratic with M'' = beta = slope
+    right - slope left, and the piece adds M' integrated from the values of
+    |f| at the edges, taken in offsets from t, never at t +- r: M at each
+    radius is a cumsum of nonnegative pieces, however narrow the window.
+    M/r has an interior maximum only on a piece with beta < 0 where M/r
+    still rises, at r* = sqrt(rho^2 + 2 (M - M' rho) / beta) from the near
+    end rho, and the piece's quadratic gives M(r*); a step f skips this.
+    The r -> 0 limit is the mean of |f(t-)| and |f(t+)|.
     """
-    g = abs(f)
     ts = np.atleast_1d(np.asarray(targets, dtype=float))
     if ts.size == 0:
         raise ValueError("empty targets")
-    left, right = g.one_sided_limits(ts)
-    out = (left + right) / 2.0
-    for blk in _blocks(ts.size):
-        t = ts[blk, None]
-        radii = np.sort(np.abs(g.nodes - t), axis=1)
-        mass = _window_mass(g, t, radii)
-        avg = np.divide(mass, 2.0 * radii, out=np.full_like(mass, -np.inf), where=radii > 0.0)
-        best = np.maximum(out[blk], np.max(avg, axis=1))
-        # interior stationary radii: on each piece between consecutive
-        # critical radii the window mass N(r) is quadratic, and
-        # d/dr [N/2r] = 0 at r = sqrt(c/a) for N = a r^2 + b r + c; a piece
-        # of zero length (a repeated radius) or starting at r = 0 has none
-        r0, r1 = radii[:, :-1], radii[:, 1:]
-        n0, n1 = mass[:, :-1], mass[:, 1:]
-        nm = _window_mass(g, t, (r0 + r1) / 2.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            aa = 2.0 * (n0 - 2.0 * nm + n1) / (r1 - r0) ** 2
-            bb = (n1 - n0) / (r1 - r0) - aa * (r0 + r1)
-            cc = n0 - aa * r0 * r0 - bb * r0
-            rstar = np.sqrt(cc / aa)
-        ok = (r0 > 0.0) & np.isfinite(rstar) & (rstar > r0) & (rstar < r1)
-        rows = np.nonzero(ok)[0]
-        if rows.size:
-            rs = rstar[ok]
-            np.maximum.at(best, rows, _window_mass(g, t[rows, 0], rs) / (2.0 * rs))
-        out[blk] = best
+    left, right = f.one_sided_limits(ts)
+    out = (np.abs(left) + np.abs(right)) / 2.0
+    x, v = f.nodes, f.values
+    # |f| on each cell: its value at the left node and its slope
+    level, slope, anchor = np.abs(v[:-1]), np.zeros(x.size - 1), None
+    if f.interpretation == "linear":
+        h, sign = np.diff(x), np.sign(v)
+        s = np.diff(v) / h
+        slope = s * np.sign(sign[:-1] + sign[1:])
+        cross = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+        if cross.size:
+            # a sign change splits its cell: |f| falls to 0 at the root and
+            # rises after it.  The root is placed by its distance from the
+            # cell's left node, its anchor, so each target sees it at the
+            # anchor's offset plus that distance.
+            after, rise = cross + 1, np.abs(s[cross])
+            slope[cross] = -rise
+            level = np.insert(level, after, 0.0)
+            slope = np.insert(slope, after, rise)
+            anchor = np.insert(np.arange(x.size), after, cross)
+            dist = h[cross] * (v[cross] / (v[cross] - v[cross + 1]))
+            shift = np.insert(np.zeros(x.size), after, dist)
+    n = level.size + 1
+    # the cell of a point y is the count of nodes <= y: cell 0 and cell n
+    # are the zero extension either side of the domain
+    level = np.concatenate(([0.0], level, [0.0]))
+    slope = np.concatenate(([0.0], slope, [0.0]))
+    sloped = bool(np.any(slope))
+    size = max(1, _SWEEP_ELEMENTS // n)
+    for lo in range(0, ts.size, size):
+        t = ts[lo : lo + size, None]
+        u = x - t
+        if anchor is not None:
+            u = u[:, anchor] + shift
+        order = np.argsort(np.abs(u), axis=1)
+        u_sorted = np.take_along_axis(u, order, axis=1)
+        hi = np.abs(u_sorted)
+        near = np.zeros_like(hi)
+        near[:, 1:] = hi[:, :-1]
+        # on the piece (near, hi) the right edge has passed the nodes <= t and
+        # the right nodes swept before it; the left edge sits in the cell of
+        # the left nodes not yet swept
+        is_r, is_l = u_sorted > 0.0, u_sorted < 0.0
+        swept_r, swept_l = np.cumsum(is_r, axis=1), np.cumsum(is_l, axis=1)
+        cell_r = n - swept_r[:, -1:] + swept_r - is_r
+        cell_l = swept_l[:, -1:] - swept_l + is_l
+        width = hi - near
+        deriv = level[cell_r] + level[cell_l]  # M' on each piece, at its near end
+        if sloped:
+            ul = np.zeros((t.size, n + 1))
+            ul[:, 1:n] = u[:, :-1]
+            sl_r, sl_l = slope[cell_r], slope[cell_l]
+            ul_r = np.take_along_axis(ul, cell_r, axis=1)
+            ul_l = np.take_along_axis(ul, cell_l, axis=1)
+            beta = sl_r - sl_l
+            deriv += sl_r * (near - ul_r) - sl_l * (near + ul_l)
+            step = width * (deriv + 0.5 * beta * width)
+        else:
+            step = width * deriv
+        mass = np.cumsum(step, axis=1)
+        avg = np.divide(mass, 2.0 * hi, out=np.full_like(mass, -np.inf), where=hi > 0.0)
+        best = np.maximum(out[lo : lo + size], np.max(avg, axis=1))
+        if sloped:
+            m_near = np.zeros_like(mass)
+            m_near[:, 1:] = mass[:, :-1]
+            # M is concave on the piece, M/r still rises at its near end and
+            # r* lies before its far end, tested without dividing by beta
+            lift = 2.0 * (m_near - deriv * near)
+            rising = (beta < 0.0) & (lift < 0.0)
+            hit = np.nonzero(rising & (lift > beta * (hi - near) * (hi + near)))
+            b, r0, m0, d0 = beta[hit], near[hit], m_near[hit], deriv[hit]
+            rstar = np.sqrt(r0 * r0 + lift[hit] / b)
+            dr = rstar - r0
+            np.maximum.at(best, hit[0], (m0 + dr * (d0 + 0.5 * b * dr)) / (2.0 * rstar))
+        out[lo : lo + size] = best
     return out
 
 

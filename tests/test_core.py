@@ -1,7 +1,12 @@
 """Operator evaluation core: product integration, norms, maximal function,
 Besov norm, averaging projection."""
 
+import bisect
+import decimal
+import heapq
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -322,6 +327,46 @@ class TestMaximalFunction:
         f = GridFunction((0.0, 0.5, 1.0), (1.0, 0.0, 0.0), "step")
         assert maximal_values(f, [0.75])[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
+    def test_step_window_a_few_ulps_wide(self):
+        # right of t the value is 1.6268534072763456; left of t the first
+        # cell is one ulp (2^-56) wide and nearly 0, so the sup is half the
+        # right value, taken as r -> 0 and at the radius 2^-56
+        f = GridFunction(
+            (0.1, 0.10000000000000002, 0.12453517746465924, 0.3475263093588097,
+             0.3909632030781792, 0.46373664400437253, 0.5787038666418773,
+             0.9636328000277516, 1.0),
+            (2.5105628674005618e-222, 1.6268534072763456, 1.5346281819174257,
+             0.5888453867989507, 1.4995531889923643e-262, 4.6929165156675215e-204,
+             1.804345002409849e-60, 4.451127327683208e-30, 1.8919339215707325),
+            "step",
+        )
+        assert maximal_values(f, [0.10000000000000002])[0] == 0.8134267036381728
+
+    def test_linear_sup_at_a_stationary_radius(self):
+        # draw 280 of a seeded scan of random linear inputs; the sup sits at
+        # an interior stationary radius, 1.16026644916626027873... by a
+        # 60-digit quadrature scan, and is not overshot
+        rng = np.random.default_rng(1)
+        for _ in range(281):
+            k = rng.integers(2, 40)
+            nodes = np.unique(np.concatenate(([0, 1], rng.integers(1, 512, k) / 512)))
+            values = rng.uniform(-2, 2, nodes.size)
+            ts = rng.uniform(0, 1, 40)
+        t = 0.6308463252680989
+        assert t in ts
+        assert maximal_values(GridFunction(nodes, values), [t])[0] == 1.1602664491662602
+
+    def test_subnormal_slopes_near_unit_values(self):
+        # slopes of a few ulps of the smallest double beside values near 1:
+        # the stationary-radius test must not divide by that curvature (the
+        # suite turns numpy's overflow warning into an error)
+        f = GridFunction(
+            (0.0, 0.1875077157277849, 0.19510739845680503, 0.319681636282665,
+             0.5776878925178592, 0.6725266339168693, 1.0),
+            (0.0, 5e-324, -1e-310, 0.0, 1.0, 1.0, 3e-310),
+        )
+        _assert_maximal_values_exact(f, np.linspace(0.0, 1.0, 33))
+
     def test_dominates_every_window_average(self):
         f = GridFunction((0.0, 0.3, 0.6, 1.0), (0.5, 2.0, 0.1, 0.1), "step")
         t = 0.45
@@ -483,11 +528,11 @@ class TestSortedUnique:
 
 
 # -- slow references ----------------------------------------------------------
-# The per-target loops that rl_values, q_values and maximal_values ran before
-# they became blocked (targets x nodes) sweeps: every target merges a 256-cell
-# graded mesh with f's nodes and integrates the kernel cell by cell in the
-# global form f(s) = c0 + c1*s; the maximal function takes one target at a
-# time over its unique positive radii.
+# The per-target loops that rl_values and q_values ran before they became
+# blocked (targets x nodes) sweeps: every target merges a 256-cell graded mesh
+# with f's nodes and integrates the kernel cell by cell in the global form
+# f(s) = c0 + c1*s.  The maximal function's reference is exact instead: one
+# target at a time, in rational arithmetic.
 
 
 def _ref_mesh(f, lo, hi, singular_at, n_cells=256, grading=2.0):
@@ -556,42 +601,90 @@ def ref_q_values(alpha, f, targets):
     return out
 
 
-def _ref_one_sided_limits(g, t):
-    a, b = g.domain
-    right = float(g(t)) if a <= t < b else 0.0
-    if not a < t <= b:
-        return 0.0, right
-    if g.interpretation == "linear":
-        return float(g(t)), right
-    idx = int(np.searchsorted(g.nodes, t, side="left")) - 1
-    return float(g.values[max(idx, 0)]), right
+def _decimal(q):
+    """A rational at the working precision of the decimal context."""
+    return decimal.Decimal(q.numerator) / q.denominator
 
 
 def ref_maximal_values(f, targets):
-    g = abs(f)
-    mass_at = lambda t, r: g.cumulative_at(t + r) - g.cumulative_at(t - r)  # noqa: E731
-    ts = np.atleast_1d(np.asarray(targets, dtype=float))
-    out = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        best = sum(_ref_one_sided_limits(g, t)) / 2.0
-        radii = np.unique(np.abs(g.nodes - t))
-        radii = radii[radii > 0.0]
-        if radii.size:
-            best = max(best, float(np.max(mass_at(t, radii) / (2.0 * radii))))
-            r0, r1 = radii[:-1], radii[1:]
-            if r0.size:
-                n0, n1 = mass_at(t, r0), mass_at(t, r1)
-                nm = mass_at(t, (r0 + r1) / 2.0)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    aa = 2.0 * (n0 - 2.0 * nm + n1) / (r1 - r0) ** 2
-                    bb = (n1 - n0) / (r1 - r0) - aa * (r0 + r1)
-                    cc = n0 - aa * r0 * r0 - bb * r0
-                    rstar = np.sqrt(cc / aa)
-                ok = np.isfinite(rstar) & (rstar > r0) & (rstar < r1)
-                if np.any(ok):
-                    rs = rstar[ok]
-                    best = max(best, float(np.max(mass_at(t, rs) / (2.0 * rs))))
-        out[i] = best
+    """sup_{r>0} (1/2r) int_{t-r}^{t+r} |f| for each target, exactly.
+
+    Each target sweeps the distances from t to the edges of |f| (f's nodes
+    and, for a linear f, its sign changes) in Fractions: on the piece between
+    two such radii M'(r) = |f|(t+r) + |f|(t-r) is linear, so the window mass
+    M at each radius is a sum of exact trapezoids, and M/2r is compared
+    exactly.  An interior maximum of M/r sits where M is concave and M/r
+    still rises at the piece's near end; its radius is irrational, so its
+    value is taken at 50 digits in decimal.
+    """
+    xs = [Fraction(v) for v in f.nodes.tolist()]
+    ys = [Fraction(v) for v in f.values.tolist()]
+    # |f| on cell k is starts[k] + slopes[k] (s - edges[k]); a linear f is
+    # split at its exact sign changes
+    edges, starts, slopes = [xs[0]], [], []
+    for a, b, ya, yb in zip(xs, xs[1:], ys, ys[1:]):
+        if f.interpretation == "step":
+            yb = ya
+        if ya * yb < 0:
+            root = a + (b - a) * ya / (ya - yb)
+            edges.append(root)
+            starts += [abs(ya), Fraction(0)]
+            slopes += [-abs(ya) / (root - a), abs(yb) / (b - root)]
+        else:
+            starts.append(abs(ya))
+            slopes.append((abs(yb) - abs(ya)) / (b - a))
+        edges.append(b)
+
+    def line(k, t):
+        # |f| of cell k, continued to t: its value there and its slope;
+        # cells -1 and len(starts) are the zero extension
+        if 0 <= k < len(starts):
+            return starts[k] + slopes[k] * (t - edges[k]), slopes[k]
+        return Fraction(0), Fraction(0)
+
+    out = np.empty(len(targets))
+    with decimal.localcontext(prec=50):
+        for i, t in enumerate(np.asarray(targets, dtype=float).tolist()):
+            t = Fraction(t)
+            kr = bisect.bisect_right(edges, t) - 1
+            kl = bisect.bisect_left(edges, t) - 1
+            # the radii at which the window's right or left edge leaves its cell
+            events = heapq.merge(
+                ((e - t, 1) for e in edges[kr + 1 :]),
+                ((t - e, -1) for e in edges[kl::-1] if kl >= 0),
+            )
+            a_r, s_r = line(kr, t)
+            a_l, s_l = line(kl, t)
+            best = (a_r + a_l) / 2  # the r -> 0 limit
+            stationary = []
+            r0 = m0 = 0
+            for r1, side in events:
+                if r1 > r0:
+                    # M'(r) = |f|(t + r) + |f|(t - r) = a + beta r on (r0, r1)
+                    a, beta = a_r + a_l, s_r - s_l
+                    if beta < 0:
+                        d0 = a + beta * r0
+                        if m0 < d0 * r0:
+                            rr = r0 * r0 + 2 * (m0 - d0 * r0) / beta  # r*^2, exactly
+                            if rr < r1 * r1:
+                                stationary.append((r0, m0, d0, beta, rr))
+                    m0 += (r1 - r0) * (a + beta * (r0 + r1) / 2 if beta else a)
+                    r0 = r1
+                    if m0 > 2 * r1 * best:
+                        best = m0 / (2 * r1)
+                if side > 0:
+                    kr += 1
+                    a_r, s_r = line(kr, t)
+                else:
+                    kl -= 1
+                    a_l, s_l = line(kl, t)
+            top = _decimal(best)
+            for r0, m0, d0, beta, rr in stationary:
+                r0, m0, d0, beta, rs = map(_decimal, (r0, m0, d0, beta, rr))
+                rs = rs.sqrt()
+                dr = rs - r0
+                top = max(top, (m0 + dr * (d0 + beta * dr / 2)) / (2 * rs))
+            out[i] = float(top)
     return out
 
 
@@ -632,6 +725,36 @@ def _targets(draw, r):
     return np.concatenate(([0.0, r], free))
 
 
+@st.composite
+def _ulp_step_functions(draw):
+    """A step f on [0, 1] with a run of nodes one to three ulps apart, and
+    targets on that run and one ulp either side of each of its nodes."""
+    x = draw(st.floats(0.01, 0.99))
+    run = [x]
+    for gap in draw(st.lists(st.integers(1, 3), min_size=1, max_size=6)):
+        for _ in range(gap):
+            x = np.nextafter(x, 2.0)
+        run.append(x)
+    free = draw(st.lists(st.floats(0.0, 1.0), max_size=8))
+    nodes = np.unique(np.concatenate(([0.0, 1.0], run, free)))
+    values = draw(st.lists(st.floats(-2.0, 2.0), min_size=nodes.size, max_size=nodes.size))
+    run = np.asarray(run)
+    ts = np.concatenate((run, np.nextafter(run, 0.0), np.nextafter(run, 2.0)))
+    return GridFunction(nodes, values, "step"), ts
+
+
+def _assert_maximal_values_exact(f, ts):
+    """maximal_values within 1e-14 of the exact sup, relative to max(sup, 1).
+
+    Targets at a subnormal distance from an edge of |f| are left out: a
+    window mass over a subnormal width keeps only the bits of that width,
+    whatever the method."""
+    u = np.abs(abs(f).nodes - ts[:, None])
+    ts = ts[np.all((u == 0.0) | (u >= sys.float_info.min), axis=1)]
+    ref = ref_maximal_values(f, ts)
+    assert np.all(np.abs(maximal_values(f, ts) - ref) <= 1e-14 * np.maximum(ref, 1.0))
+
+
 def _assert_matches_reference(got, ref, f):
     floor = 1e-12 * max(1.0, float(np.max(np.abs(f.values))))
     assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref) + floor)
@@ -657,8 +780,13 @@ class TestBlockedSweepsAgainstReference:
     @settings(max_examples=60, deadline=None)
     def test_maximal_values(self, f, data):
         ts = np.concatenate((data.draw(_targets(1.0)), f.nodes, (f.nodes[:-1] + f.nodes[1:]) / 2))
-        ref = ref_maximal_values(f, ts)
-        assert np.all(np.abs(maximal_values(f, ts) - ref) <= 1e-12 * np.maximum(ref, 1.0))
+        _assert_maximal_values_exact(f, ts)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_maximal_values_on_cells_a_few_ulps_wide(self, data):
+        f, ts = data.draw(_ulp_step_functions())
+        _assert_maximal_values_exact(f, np.concatenate((ts, data.draw(_targets(1.0)))))
 
     @pytest.mark.xfail(
         strict=True,
@@ -672,14 +800,20 @@ class TestBlockedSweepsAgainstReference:
             0.13298076013381, rel=1e-6
         )
 
-    def test_block_boundaries(self):
+    def test_block_boundaries(self, monkeypatch):
         # more targets than one block, in an order that is not sorted
         f = GridFunction(np.linspace(0.0, 1.0, 41), np.cos(7.0 * np.linspace(0.0, 1.0, 41)))
         ts = np.random.default_rng(3).permutation(np.linspace(0.0, 1.0, 301))
         alpha = PowerOffset(0.5, 1.0, 2.0)
         _assert_matches_reference(rl_values(alpha, f, ts), ref_rl_values(alpha, f, ts), f)
         _assert_matches_reference(q_values(alpha, f, ts), ref_q_values(alpha, f, ts), f)
-        assert np.array_equal(maximal_values(f, ts), ref_maximal_values(f, ts))
+        # the maximal function's rows are independent: one block, blocks of
+        # fewer than 48 targets and one call per target give the same bits
+        alone = np.concatenate([maximal_values(f, [t]) for t in ts])
+        assert np.array_equal(maximal_values(f, ts), alone)
+        monkeypatch.setattr("varfrac.core._SWEEP_ELEMENTS", 48 * f.nodes.size)
+        assert np.array_equal(maximal_values(f, ts), alone)
+        _assert_maximal_values_exact(f, ts)
 
     @pytest.mark.parametrize(
         "values, first",

@@ -253,6 +253,13 @@ class TestWitnesses:
         assert np.allclose(got, expected, rtol=1e-12)
         assert np.allclose(got[1:] / got[:-1], 0.5, rtol=1e-12)
 
+    def test_identity_order_l2_closed_form_to_the_last_normal_norm(self):
+        # the L2 norm of the ramp is 2^-(n+1)/sqrt(3), a normal double through
+        # n = 1020; its square leaves the normal doubles from n = 510 on
+        got = witness_separation(Constant(1.0), 2.0, 1020)
+        expected = np.ldexp(1.0 / math.sqrt(3.0), -np.arange(2, 1022))
+        assert np.all(np.abs(got - expected) <= 1e-14 * expected)
+
     def test_reciprocal_log_stays_bounded_below(self):
         vals = witness_separation(ReciprocalLog(), 2.0, 20)
         tail = vals[-10:]
@@ -295,10 +302,10 @@ class TestWitnesses:
         [
             (Constant(0.5), 1.0, 700, 678),  # overflows to inf on a compact order
             (ReciprocalLog(), 1.0, 1000, 506),  # inf, and numpy overflow past it
-            (Constant(1.0), 2.0, 600, 534),  # underflows to 0.0
+            (Constant(1.0), 2.0, 1021, 1021),  # subnormal, 1.28e-308
             (Constant(1.0), 1.0, 1021, 1020),  # subnormal
         ],
-        ids=["const0.5-inf", "reclog-inf", "const1-zero", "const1-subnormal"],
+        ids=["const0.5-inf", "reclog-inf", "const1-l2-subnormal", "const1-subnormal"],
     )
     def test_norm_outside_normal_doubles_rejected(self, alpha, p, n_max, first):
         # the suite runs with warnings as errors, so a numpy RuntimeWarning

@@ -23,8 +23,10 @@ checks, ``spectrum --n 32``, ``spectrum --fit`` and the three ``verify``
 suites; ``entropy`` five ways for each worked family and once on a grid
 past 2^1000; the two L1 ``diagnose`` checks at order 100;
 ``spectrum --fit`` on two orders near 0.05, whose top singular values
-converge slowest; ``spectrum --n 256`` on a smooth order, whose matrix is
-interpolated, and on one that keeps the direct rows; every ``varfrac``
+converge slowest; the L2 witness norms of ``const:1`` to n = 533, whose
+squares underflow, and to n = 1021, past the normal doubles;
+``spectrum --n 256`` on a smooth order, whose matrix is interpolated, and
+on one that keeps the direct rows; every ``varfrac``
 command in README.md; and inputs that the CLI must reject, among them an
 order spec with an empty field, a witness count whose norms leave the
 doubles, and every ``spectrum`` rejection that command-line input reaches
@@ -114,6 +116,14 @@ SLOW_LANCZOS = (
     "spectrum --alpha ex1:0.05,1.5,3 --fit --n-max 16 --n 128",
 )
 
+# L2 witness norms of the identity order near the bottom of the doubles:
+# 2^-(n+1)/sqrt(3) to n = 533, whose squares underflow, and to n = 1021,
+# whose subnormal norm the suite rejects
+SMALL_NORMS = (
+    "verify --suite witness --alpha const:1 --p 2 --n-max 533",
+    "verify --suite witness --alpha const:1 --p 2 --n-max 1021",
+)
+
 # a smooth order whose 256-cell matrix is interpolated from 33 virtual rows,
 # and one whose cells near 0 form a run, so its rows are computed directly
 INTERPOLATED = (
@@ -192,7 +202,7 @@ def readme_commands() -> list[str]:
 def all_commands() -> list[str]:
     cmds = [c for alpha in ORDERS for c in order_commands(alpha)]
     cmds += [c for alpha in WORKED for c in entropy_commands(alpha)]
-    cmds += LARGE_GRIDS + LARGE_ORDERS + SLOW_LANCZOS + INTERPOLATED
+    cmds += LARGE_GRIDS + LARGE_ORDERS + SLOW_LANCZOS + SMALL_NORMS + INTERPOLATED
     return cmds + readme_commands() + list(REJECTED)
 
 
