@@ -231,6 +231,17 @@ def _sorted_unique(x) -> np.ndarray:
     return s[keep]
 
 
+def _sign_changes(x, v) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of a linear interpolant whose end values have opposite
+    signs, and each one's root as its distance from the cell's left node.
+
+    Signs are compared by ``np.sign``, so two values whose product
+    underflows still count."""
+    sign = np.sign(v)
+    cross = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    return cross, (x[cross + 1] - x[cross]) * (v[cross] / (v[cross] - v[cross + 1]))
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """A function on an interval, stored as nodes/values with an interpretation.
@@ -293,23 +304,6 @@ class GridFunction:
             return float(out)
         return out
 
-    def one_sided_limits(self, t):
-        """(f(t-), f(t+)) of the zero-extended interpolant.
-
-        Scalar t gives a pair of floats, an array gives a pair of arrays.
-        """
-        arr = np.asarray(t, dtype=float)
-        a, b = self.domain
-        here = self(arr)
-        right = np.where((arr >= a) & (arr < b), here, 0.0)
-        if self.interpretation == "step":
-            idx = np.searchsorted(self.nodes, arr, side="left") - 1
-            here = self.values[np.maximum(idx, 0)]
-        left = np.where((arr > a) & (arr <= b), here, 0.0)
-        if arr.ndim == 0:
-            return (float(left), float(right))
-        return (left, right)
-
     # -- integration -----------------------------------------------------
 
     @cached_property
@@ -356,15 +350,18 @@ class GridFunction:
     # -- algebra: absolute value and scalar multiples -----------------------
 
     def __abs__(self) -> "GridFunction":
+        """|f| in the same interpretation.  A linear f gets a node at each
+        root of a sign change, placed by `_sign_changes` as the maximal sweep
+        places it, where |f| is exactly 0; a root that rounds onto a node of
+        its cell is dropped."""
+        x, v = self.nodes, np.abs(self.values)
         if self.interpretation == "step":
-            return GridFunction(self.nodes, np.abs(self.values), "step")
-        v = self.values
-        cross = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
-        roots = self.nodes[cross] + (self.nodes[cross + 1] - self.nodes[cross]) * (
-            v[cross] / (v[cross] - v[cross + 1])
-        )
-        nodes = _sorted_unique(np.concatenate((self.nodes, roots)))
-        return GridFunction(nodes, np.abs(self(nodes)), "linear")
+            return GridFunction(x, v, "step")
+        cross, dist = _sign_changes(x, self.values)
+        roots = x[cross] + dist
+        keep = (roots > x[cross]) & (roots < x[cross + 1])
+        after = cross[keep] + 1
+        return GridFunction(np.insert(x, after, roots[keep]), np.insert(v, after, 0.0))
 
     def __mul__(self, c):
         if not np.isscalar(c):
@@ -507,7 +504,8 @@ def lp_norm(f: GridFunction, p) -> float:
     Otherwise composite 16-point Gauss on the cells of |f|, split at the
     roots of f, so p = 1 (a linear integrand per cell) is exact too.
     """
-    if p != np.inf and p < 1.0:
+    # written so that p = NaN fails the check too
+    if not p >= 1.0:
         raise ValueError(f"need p >= 1, got {p}")
     if p == np.inf:
         # essential sup: the closing value of a step function lives on a null set
@@ -551,32 +549,29 @@ def maximal_values(f: GridFunction, targets) -> np.ndarray:
     M/r has an interior maximum only on a piece with beta < 0 where M/r
     still rises, at r* = sqrt(rho^2 + 2 (M - M' rho) / beta) from the near
     end rho, and the piece's quadratic gives M(r*); a step f skips this.
-    The r -> 0 limit is the mean of |f(t-)| and |f(t+)|.
+    The r -> 0 limit is M'(0) / 2 on the first piece, the mean of |f(t-)|
+    and |f(t+)|.  Targets must lie within [0, 1].
     """
-    ts = np.atleast_1d(np.asarray(targets, dtype=float))
-    if ts.size == 0:
-        raise ValueError("empty targets")
-    left, right = f.one_sided_limits(ts)
-    out = (np.abs(left) + np.abs(right)) / 2.0
-    x, v = f.nodes, f.values
+    ts = _checked_targets(targets, 1.0)
+    out = np.empty(ts.size)
+    x, v = f.nodes, np.abs(f.values)
     # |f| on each cell: its value at the left node and its slope
-    level, slope, anchor = np.abs(v[:-1]), np.zeros(x.size - 1), None
+    level, slope, anchor = v[:-1], np.zeros(x.size - 1), None
     if f.interpretation == "linear":
-        h, sign = np.diff(x), np.sign(v)
-        s = np.diff(v) / h
-        slope = s * np.sign(sign[:-1] + sign[1:])
-        cross = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+        h = np.diff(x)
+        slope = np.diff(v) / h
+        cross, dist = _sign_changes(x, f.values)
         if cross.size:
             # a sign change splits its cell: |f| falls to 0 at the root and
             # rises after it.  The root is placed by its distance from the
             # cell's left node, its anchor, so each target sees it at the
             # anchor's offset plus that distance.
-            after, rise = cross + 1, np.abs(s[cross])
+            after = cross + 1
+            rise = (v[cross] + v[after]) / h[cross]
             slope[cross] = -rise
             level = np.insert(level, after, 0.0)
             slope = np.insert(slope, after, rise)
             anchor = np.insert(np.arange(x.size), after, cross)
-            dist = h[cross] * (v[cross] / (v[cross] - v[cross + 1]))
             shift = np.insert(np.zeros(x.size), after, dist)
     n = level.size + 1
     # the cell of a point y is the count of nodes <= y: cell 0 and cell n
@@ -617,7 +612,10 @@ def maximal_values(f: GridFunction, targets) -> np.ndarray:
             step = width * deriv
         mass = np.cumsum(step, axis=1)
         avg = np.divide(mass, 2.0 * hi, out=np.full_like(mass, -np.inf), where=hi > 0.0)
-        best = np.maximum(out[lo : lo + size], np.max(avg, axis=1))
+        # the r -> 0 limit is M'(0) / 2: the first piece starts at r = 0,
+        # and for a target on a node it has zero width between the cells
+        # of f(t+) and f(t-)
+        best = np.maximum(deriv[:, 0] / 2.0, np.max(avg, axis=1))
         if sloped:
             m_near = np.zeros_like(mass)
             m_near[:, 1:] = mass[:, :-1]

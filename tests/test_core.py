@@ -301,6 +301,10 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(ONE, 0.5)
 
+    def test_rejects_nan_exponent(self):
+        with pytest.raises(ValueError, match="need p >= 1, got nan"):
+            lp_norm(RAMP, math.nan)
+
 
 class TestGaussPanels:
     @pytest.mark.parametrize("points", [8, 16])
@@ -341,6 +345,17 @@ class TestMaximalFunction:
             "step",
         )
         assert maximal_values(f, [0.10000000000000002])[0] == 0.8134267036381728
+
+    def test_linear_sup_only_as_r_to_0(self):
+        # at the peak of a hat every window average is 1 - r, so only the
+        # r -> 0 limit of the linear sweep attains the sup
+        f = GridFunction((0.0, 0.5, 1.0), (0.0, 1.0, 0.0))
+        assert maximal_values(f, [0.5])[0] == 1.0
+
+    @pytest.mark.parametrize("t", [math.nan, 1.5])
+    def test_rejects_target_outside_unit_interval(self, t):
+        with pytest.raises(ValueError, match=r"targets must lie within \[0, 1\]"):
+            maximal_values(ONE, [t, 0.5])
 
     def test_linear_sup_at_a_stationary_radius(self):
         # draw 280 of a seeded scan of random linear inputs; the sup sits at
@@ -389,6 +404,10 @@ class TestBesov:
     def test_rejects_bad_smoothness(self):
         with pytest.raises(ValueError):
             besov_norm(ONE, 2.0, 1.5, [0.5])
+
+    def test_rejects_nan_exponent(self):
+        with pytest.raises(ValueError, match="need p >= 1, got nan"):
+            besov_norm(RAMP, math.nan, 0.5, [0.25])
 
 
 class TestProjectAverage:
@@ -452,6 +471,18 @@ class TestGridFunction:
         g = abs(f)
         assert g(0.5) == pytest.approx(0.0, abs=1e-15)
         assert lp_norm(g, 1.0) == pytest.approx(0.5, abs=1e-14)
+        # every inserted root carries exactly 0, not roundoff times the slope
+        f = GridFunction(
+            (0.0, 0.5995507812499999, 0.6), (0.3, -0.4162677602187288, 1.588355455010725)
+        )
+        g = abs(f)
+        roots = ~np.isin(g.nodes, f.nodes)
+        assert np.count_nonzero(roots) == 2
+        assert np.all(g.values[roots] == 0.0)
+        # a sign change whose product of values underflows to -0.0
+        f = GridFunction((0.0, 1.0), (1e-200, -1e-200))
+        assert np.array_equal(abs(f).nodes, [0.0, 0.5, 1.0])
+        assert lp_norm(f, 1.0) == 5e-201
 
     @pytest.mark.parametrize(
         "nodes", [(math.nan, 0.5, 1.0), (0.0, math.nan, 1.0), (0.0, 0.5, math.nan)]
