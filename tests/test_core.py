@@ -372,8 +372,9 @@ def ref_lp_norm(f: GridFunction, p: float) -> float:
     with decimal.localcontext(prec=50):
         q, total = dec(p), dec(0)
         for a, b, y0, y1 in zip(f.nodes[:-1], f.nodes[1:], f.values[:-1], f.values[1:]):
-            h, u0, u1 = dec(b) - dec(a), abs(dec(y0)), abs(dec(y1))
-            if y0 * y1 < 0.0:
+            y0, y1 = dec(y0), dec(y1)
+            h, u0, u1 = dec(b) - dec(a), abs(y0), abs(y1)
+            if y0 * y1 < 0:
                 total += h * (u0 ** (q + 1) + u1 ** (q + 1)) / ((q + 1) * (u0 + u1))
             elif u0 == u1:
                 total += h * u0**q
