@@ -235,8 +235,8 @@ def _sign_changes(x, v) -> tuple[np.ndarray, np.ndarray]:
     """The cells of a linear interpolant whose end values have opposite
     signs, and each one's root as its distance from the cell's left node.
 
-    Signs are compared by ``np.sign``, so two values whose product
-    underflows still count."""
+    Signs are compared by ``np.sign``, so a product that underflows still
+    counts.  Callers scale the values below 2^1022: v0 - v1 cannot overflow."""
     sign = np.sign(v)
     cross = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
     return cross, (x[cross + 1] - x[cross]) * (v[cross] / (v[cross] - v[cross + 1]))
@@ -347,21 +347,7 @@ class GridFunction:
             raise ValueError(f"need a <= b, got [{a}, {b}]")
         return float(self.cumulative_at(b) - self.cumulative_at(a))
 
-    # -- algebra: absolute value and scalar multiples -----------------------
-
-    def __abs__(self) -> "GridFunction":
-        """|f| in the same interpretation.  A linear f gets a node at each
-        root of a sign change, placed by `_sign_changes` as the maximal sweep
-        places it, where |f| is exactly 0; a root that rounds onto a node of
-        its cell is dropped."""
-        x, v = self.nodes, np.abs(self.values)
-        if self.interpretation == "step":
-            return GridFunction(x, v, "step")
-        cross, dist = _sign_changes(x, self.values)
-        roots = x[cross] + dist
-        keep = (roots > x[cross]) & (roots < x[cross + 1])
-        after = cross[keep] + 1
-        return GridFunction(np.insert(x, after, roots[keep]), np.insert(v, after, 0.0))
+    # -- algebra: scalar multiples ---------------------------------------
 
     def __mul__(self, c):
         if not np.isscalar(c):
@@ -508,33 +494,43 @@ def q_values(alpha: OrderFunction, f: GridFunction, targets) -> np.ndarray:
 
 
 def lp_norm(f: GridFunction, p) -> float:
-    """L_p norm of the interpolant over its domain.
+    """L_p norm of the interpolant over its domain, exact for every p >= 1.
 
-    Exact for every p on step functions, and in closed form for p in {2, inf}.
-    Otherwise composite 16-point Gauss on the cells of |f|, split at the
-    roots of f, so p = 1 (a linear integrand per cell) is exact too.
+    A piece of |f| (a cell, or one side of a root that `_sign_changes` places)
+    of width h from y_lo to y_hi >= y_lo adds h y_hi^p phi(y_lo/y_hi), where
+    phi(r) = (1 - r^(p+1)) / ((p+1) (1 - r)) goes through expm1 and log1p.
     """
     # written so that p = NaN fails the check too
     if not p >= 1.0:
         raise ValueError(f"need p >= 1, got {p}")
-    if p == np.inf:
-        # essential sup: the closing value of a step function lives on a null set
-        if f.interpretation == "step":
-            return float(np.max(np.abs(f.values[:-1])))
-        return float(np.max(np.abs(f.values)))
+    # the values that count (a step f's closing one is on a null set) scaled by 2^s:
+    # 2^(1022-p) < max y^p <= 2^1022, so no term overflows or, below p ~ 970, underflows
+    v = f.values[:-1] if f.interpretation == "step" else f.values
+    m, ev = np.frexp(np.max(np.abs(v)))
+    s = math.floor(1022.0 / p - ev - math.log2(max(m, 0.5)))
+    v = np.ldexp(v, s)
     h = np.diff(f.nodes)
     if f.interpretation == "step":
-        return float(np.dot(h, np.abs(f.values[:-1]) ** p) ** (1.0 / p))
-    v0, v1 = f.values[:-1], f.values[1:]
-    if p == 2.0:
-        # the values scaled to below 1 and the widths to near 1 by exact
-        # powers of two, so the squares neither underflow nor overflow
-        ev = int(np.frexp(np.max(np.abs(f.values)))[1])
-        eh = int(np.frexp(np.max(h))[1]) // 2
-        v0, v1, h = np.ldexp(v0, -ev), np.ldexp(v1, -ev), np.ldexp(h, -2 * eh)
-        return float(np.ldexp(np.sqrt(np.dot(h, (v0 * v0 + v0 * v1 + v1 * v1) / 3.0)), ev + eh))
-    g = abs(f)
-    return _panel_gauss(lambda x: np.interp(x, g.nodes, g.values) ** p, g.nodes) ** (1.0 / p)
+        y0 = y1 = np.abs(v)
+    else:
+        y0, y1 = np.abs(v[:-1]), np.abs(v[1:])
+        # a sign change splits its cell at the root, and the left piece is appended
+        cross, dist = _sign_changes(f.nodes, v)
+        h, y0, y1 = np.append(h, dist), np.append(y0, y0[cross]), np.append(y1, 0.0 * dist)
+        h[cross], y0[cross] = h[cross] - dist, 0.0
+    hi = np.maximum(y0, y1)
+    if p == np.inf:
+        return float(np.ldexp(np.max(hi), -s))
+    with np.errstate(divide="ignore", invalid="ignore"):  # where() drops 0/0 and log1p(-1)
+        d = 1.0 - np.where(hi > 0.0, np.minimum(y0, y1) / hi, 1.0)
+        phi = np.where(d > 0.0, -np.expm1((p + 1.0) * np.log1p(-d)) / ((p + 1.0) * d), 1.0)
+    total = np.dot(h, hi**p * phi)
+    # total = 2^e t, 2^-p < t < 2^p, e = k p + r, |r| < 1, r = 0 for an integer p
+    e = int(np.frexp(total)[1])
+    e -= int(math.fmod(e, p))
+    r = math.fmod(e, p)
+    root = np.ldexp(total, -e) ** (1.0 / p) * 2.0 ** (r / p)
+    return float(np.ldexp(root, round((e - r) / p) - s))
 
 
 # -- maximal function ---------------------------------------------------------
@@ -564,13 +560,15 @@ def maximal_values(f: GridFunction, targets) -> np.ndarray:
     """
     ts = _checked_targets(targets, 1.0)
     out = np.empty(ts.size)
-    x, v = f.nodes, np.abs(f.values)
+    e = int(np.frexp(np.max(np.abs(f.values)))[1])  # M(2^e g) = 2^e M(g), swept below 1
+    y = np.ldexp(f.values, -e)
+    x, v = f.nodes, np.abs(y)
     # |f| on each cell: its value at the left node and its slope
     level, slope, anchor = v[:-1], np.zeros(x.size - 1), None
     if f.interpretation == "linear":
         h = np.diff(x)
         slope = np.diff(v) / h
-        cross, dist = _sign_changes(x, f.values)
+        cross, dist = _sign_changes(x, y)
         if cross.size:
             # a sign change splits its cell: |f| falls to 0 at the root and
             # rises after it.  The root is placed by its distance from the
@@ -639,7 +637,7 @@ def maximal_values(f: GridFunction, targets) -> np.ndarray:
             dr = rstar - r0
             np.maximum.at(best, hit[0], (m0 + dr * (d0 + 0.5 * b * dr)) / (2.0 * rstar))
         out[lo : lo + size] = best
-    return out
+    return np.ldexp(out, e)
 
 
 # -- Besov norm and averaging projection --------------------------------------

@@ -365,7 +365,7 @@ def witness_separation(alpha: OrderFunction, p: float, n_max: int) -> np.ndarray
     image ramps up from zero.
 
     n_max is at most 1021, the last n whose 2^-(n+1) is a normal double.  A
-    norm that is not finite or is below sys.float_info.min is a ValueError
+    norm outside the normal doubles, or an overflowing R h_n, is a ValueError
     naming n and p: an inf or a 0.0 cannot tell compact from non-compact.
     """
     if not 1 <= n_max <= 1021:
@@ -383,8 +383,9 @@ def witness_separation(alpha: OrderFunction, p: float, n_max: int) -> np.ndarray
             np.array([left, right]), np.array([height, height]), interpretation="step"
         )
         targets = left + (right - left) * ramp
-        vals = rl_values(alpha, h, targets)
-        norm = lp_norm(GridFunction(targets, vals), p)
+        with np.errstate(over="ignore"):
+            vals = rl_values(alpha, h, targets)
+        norm = lp_norm(GridFunction(targets, vals), p) if np.all(np.isfinite(vals)) else math.inf
         if not (math.isfinite(norm) and norm >= sys.float_info.min):
             raise ValueError(
                 f"witness norm {norm!r} at n = {n}, p = {p} is outside the normal doubles"

@@ -21,6 +21,7 @@ from varfrac.core import (
     _blocks,
     _gauss_panels,
     _lanczos_sum,
+    _sign_changes,
     _sorted_unique,
     besov_norm,
     csv_text,
@@ -342,37 +343,48 @@ class TestLpNorm:
         with pytest.raises(ValueError, match="need p >= 1, got nan"):
             lp_norm(RAMP, math.nan)
 
-    # the known defect "lp_norm is not exact for the declared interpolant at
-    # non-integer p, and |f| breaks at the top of the doubles" (ROADMAP.md)
-    @pytest.mark.xfail(strict=True, reason="lp_norm's Gauss path misses |f|^p at non-integer p")
     def test_non_integer_exponent_against_exact_value(self):
         rng = np.random.default_rng(0)
         nodes = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 19)), [1.0]))
         f = GridFunction(nodes, rng.standard_normal(21))
         assert lp_norm(f, 1.5) == pytest.approx(ref_lp_norm(f, 1.5), rel=1e-13)
 
-    @pytest.mark.xfail(strict=True, reason="a slope past the largest double gives nan")
     def test_steep_sign_change_cell(self):
         # 5e-291 on the rising cell and 4.5e-290 on the one that changes sign
         f = GridFunction((0.0, 1e-300, 1e-299), (0.0, 1e10, -1e10))
         assert lp_norm(f, 1.0) == pytest.approx(5e-290, rel=1e-15)
 
-    @pytest.mark.xfail(strict=True, reason="v0 - v1 overflows near the largest double")
     def test_abs_root_near_the_largest_double(self):
+        # v0 - v1 overflows unscaled: both sweeps scale the values by a power of two first
         f = GridFunction((0.0, 1.0), (1.5e308, -1.5e308))
-        assert abs(f).nodes.tolist() == [0.0, 0.5, 1.0]
-        assert np.all(np.isfinite(maximal_values(f, [0.0, 0.25, 0.5, 1.0])))
+        assert lp_norm(f, 1.0) == 7.5e307
+        ts = np.array([0.0, 0.25, 0.5, 1.0])
+        ref = ref_maximal_values(f, ts)
+        assert np.all(np.abs(maximal_values(f, ts) - ref) <= 1e-14 * ref)
+
+    def test_sign_change_cells(self):
+        f = GridFunction((0.0, 1.0), (-1.0, 1.0))
+        assert lp_norm(f, 1.0) == pytest.approx(0.5, abs=1e-14)
+        # two roots, one a few ulps from a node
+        f = GridFunction(
+            (0.0, 0.5995507812499999, 0.6), (0.3, -0.4162677602187288, 1.588355455010725)
+        )
+        for p in (1.0, 2.5):
+            assert lp_norm(f, p) == pytest.approx(ref_lp_norm(f, p), rel=1e-15)
+        # a sign change whose product of values underflows to -0.0
+        f = GridFunction((0.0, 1.0), (1e-200, -1e-200))
+        assert lp_norm(f, 1.0) == 5e-201
 
 
 def ref_lp_norm(f: GridFunction, p: float) -> float:
-    """The L_p norm of a linear f, each cell integrated in closed form at 50
-    digits in decimal: |f|^p on a cell whose values keep their sign, and on
-    each side of the root of one that changes sign."""
+    """The L_p norm of f, each cell integrated in closed form at 50 digits in
+    decimal: |f|^p on a cell whose values keep their sign (a step cell holds
+    its left value), and on each side of the root of one that changes sign."""
     dec = decimal.Decimal
     with decimal.localcontext(prec=50):
         q, total = dec(p), dec(0)
         for a, b, y0, y1 in zip(f.nodes[:-1], f.nodes[1:], f.values[:-1], f.values[1:]):
-            y0, y1 = dec(y0), dec(y1)
+            y0, y1 = dec(y0), dec(y0 if f.interpretation == "step" else y1)
             h, u0, u1 = dec(b) - dec(a), abs(y0), abs(y1)
             if y0 * y1 < 0:
                 total += h * (u0 ** (q + 1) + u1 ** (q + 1)) / ((q + 1) * (u0 + u1))
@@ -542,24 +554,6 @@ class TestGridFunction:
         path.write_text(f"0,1\n0.5,{value}\n1,2\n")
         with pytest.raises(ValueError, match="values must be finite"):
             GridFunction.from_csv(str(path))
-
-    def test_abs_inserts_crossing_nodes(self):
-        f = GridFunction((0.0, 1.0), (-1.0, 1.0))
-        g = abs(f)
-        assert g(0.5) == pytest.approx(0.0, abs=1e-15)
-        assert lp_norm(g, 1.0) == pytest.approx(0.5, abs=1e-14)
-        # every inserted root carries exactly 0, not roundoff times the slope
-        f = GridFunction(
-            (0.0, 0.5995507812499999, 0.6), (0.3, -0.4162677602187288, 1.588355455010725)
-        )
-        g = abs(f)
-        roots = ~np.isin(g.nodes, f.nodes)
-        assert np.count_nonzero(roots) == 2
-        assert np.all(g.values[roots] == 0.0)
-        # a sign change whose product of values underflows to -0.0
-        f = GridFunction((0.0, 1.0), (1e-200, -1e-200))
-        assert np.array_equal(abs(f).nodes, [0.0, 0.5, 1.0])
-        assert lp_norm(f, 1.0) == 5e-201
 
     @pytest.mark.parametrize(
         "nodes", [(math.nan, 0.5, 1.0), (0.0, math.nan, 1.0), (0.0, 0.5, math.nan)]
@@ -857,7 +851,11 @@ def _assert_maximal_values_exact(f, ts):
     Targets at a subnormal distance from an edge of |f| are left out: a
     window mass over a subnormal width keeps only the bits of that width,
     whatever the method."""
-    u = np.abs(abs(f).nodes - ts[:, None])
+    edges = f.nodes
+    if f.interpretation == "linear":
+        cross, dist = _sign_changes(edges, f.values)
+        edges = np.append(edges, edges[cross] + dist)
+    u = np.abs(edges - ts[:, None])
     ts = ts[np.all((u == 0.0) | (u >= sys.float_info.min), axis=1)]
     ref = ref_maximal_values(f, ts)
     assert np.all(np.abs(maximal_values(f, ts) - ref) <= 1e-14 * np.maximum(ref, 1.0))
@@ -866,6 +864,15 @@ def _assert_maximal_values_exact(f, ts):
 def _assert_matches_reference(got, ref, f):
     floor = 1e-12 * max(1.0, float(np.max(np.abs(f.values))))
     assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref) + floor)
+
+
+class TestLpNormAgainstReference:
+    @given(f=_grid_functions(), p=st.floats(1.0, 8.0))
+    @settings(max_examples=100, deadline=None)
+    def test_within_1e_15_of_exact(self, f, p):
+        ref = ref_lp_norm(f, p)
+        # a norm below the normal doubles is held to its grid, one subnormal ulp
+        assert abs(lp_norm(f, p) - ref) <= max(1e-15 * ref, math.ulp(0.0))
 
 
 class TestBlockedSweepsAgainstReference:

@@ -253,11 +253,14 @@ class TestWitnesses:
         assert np.allclose(got, expected, rtol=1e-12)
         assert np.allclose(got[1:] / got[:-1], 0.5, rtol=1e-12)
 
-    def test_identity_order_l2_closed_form_to_the_last_normal_norm(self):
-        # the L2 norm of the ramp is 2^-(n+1)/sqrt(3), a normal double through
-        # n = 1020; its square leaves the normal doubles from n = 510 on
-        got = witness_separation(Constant(1.0), 2.0, 1020)
-        expected = np.ldexp(1.0 / math.sqrt(3.0), -np.arange(2, 1022))
+    @pytest.mark.parametrize(
+        "p, unit", [(2.0, 1.0 / math.sqrt(3.0)), (1.0, 0.5)], ids=["l2", "l1"]
+    )
+    def test_identity_order_closed_form_to_the_last_normal_norm(self, p, unit):
+        # the Lp norm of the ramp is 2^-(n+1) (p+1)^(-1/p), a normal double
+        # through n = 1020; at p = 2 its square leaves them from n = 510 on
+        got = witness_separation(Constant(1.0), p, 1020)
+        expected = np.ldexp(unit, -np.arange(2, 1022))
         assert np.all(np.abs(got - expected) <= 1e-14 * expected)
 
     def test_reciprocal_log_stays_bounded_below(self):
@@ -293,19 +296,30 @@ class TestWitnesses:
         with pytest.raises(ValueError, match="1021"):
             witness_separation(Constant(1.0), 1.0, n_max)
 
-    def test_n_max_at_cap_runs(self):
-        vals = witness_separation(Constant(1.0), math.inf, 1021)
+    def test_reciprocal_log_l1_stays_at_its_bound(self):
+        # t^alpha(t) = e^-1 for this order: the norms stay just below it
+        vals = witness_separation(ReciprocalLog(), 1.0, 1000)[505:]
+        assert np.all((vals >= 0.366) & (vals <= math.exp(-1.0)))
+
+    # order 1/2 at p = 1: the norms fall like 2^(-n/2), while R h_n grows
+    # like 2^(n/2); a quadrature that overflowed there stopped at n = 678
+    @pytest.mark.parametrize(
+        "alpha, p",
+        [(Constant(1.0), math.inf), (Constant(0.5), 1.0)],
+        ids=["const1-sup", "const0.5-l1"],
+    )
+    def test_n_max_at_cap_runs(self, alpha, p):
+        vals = witness_separation(alpha, p, 1021)
         assert vals.size == 1021 and vals[-1] >= sys.float_info.min
 
     @pytest.mark.parametrize(
         "alpha, p, n_max, first",
         [
-            (Constant(0.5), 1.0, 700, 678),  # overflows to inf on a compact order
-            (ReciprocalLog(), 1.0, 1000, 506),  # inf, and numpy overflow past it
+            (ReciprocalLog(), 1.0, 1021, 1015),  # R h_n overflows in its matmul
             (Constant(1.0), 2.0, 1021, 1021),  # subnormal, 1.28e-308
-            (Constant(1.0), 1.0, 1021, 1020),  # subnormal
+            (Constant(1.0), 1.0, 1021, 1021),  # subnormal, 1.11e-308
         ],
-        ids=["const0.5-inf", "reclog-inf", "const1-l2-subnormal", "const1-subnormal"],
+        ids=["reclog-image-overflow", "const1-l2-subnormal", "const1-subnormal"],
     )
     def test_norm_outside_normal_doubles_rejected(self, alpha, p, n_max, first):
         # the suite runs with warnings as errors, so a numpy RuntimeWarning

@@ -24,13 +24,15 @@ suites; ``entropy`` five ways for each worked family and once on a grid
 past 2^1000; the two L1 ``diagnose`` checks at order 100;
 ``spectrum --fit`` on two orders near 0.05, whose top singular values
 converge slowest; the L2 witness norms of ``const:1`` to n = 533, whose
-squares underflow, and to n = 1021, past the normal doubles;
+squares underflow, and to n = 1021, past the normal doubles; the L1
+witness norms of ``const:0.5`` to n = 700, whose images grow past 2^350;
 ``spectrum --n 256`` on a smooth order, whose matrix is interpolated, and
 on one that keeps the direct rows; every ``varfrac``
 command in README.md; and inputs that the CLI must reject, among them an
 order spec with an empty field, a witness count whose norms leave the
-doubles, and every ``spectrum`` rejection that command-line input reaches
-past argparse: a size of 0 or past the dense cap, an endpoint r of 0, a fit
+doubles, one whose image R h_n overflows (``reclog`` at n = 1015), and
+every ``spectrum`` rejection that command-line input reaches past
+argparse: a size of 0 or past the dense cap, an endpoint r of 0, a fit
 window past ``--n-max``, and a ``--fit`` discretization below
 8 * ``--n-max`` or past its cap.  Argparse's own rejections are left out:
 it wraps its usage lines to the terminal width.
@@ -118,10 +120,12 @@ SLOW_LANCZOS = (
 
 # L2 witness norms of the identity order near the bottom of the doubles:
 # 2^-(n+1)/sqrt(3) to n = 533, whose squares underflow, and to n = 1021,
-# whose subnormal norm the suite rejects
+# whose subnormal norm the suite rejects; and L1 witness norms of order 1/2
+# to n = 700, about 2^-350, whose images R h_n grow like 2^(n/2)
 SMALL_NORMS = (
     "verify --suite witness --alpha const:1 --p 2 --n-max 533",
     "verify --suite witness --alpha const:1 --p 2 --n-max 1021",
+    "verify --suite witness --alpha const:0.5 --p 1 --n-max 700",
 )
 
 # a smooth order whose 256-cell matrix is interpolated from 33 virtual rows,
@@ -160,7 +164,7 @@ REJECTED = (
     "spectrum --alpha const:0.5 --fit --n-max 4",
     "spectrum --alpha const:0.5 --fit --n 100 --n-max 16",
     "spectrum --alpha const:0.5 --fit --n 4096",
-    "verify --suite witness --alpha const:0.5 --p 1 --n-max 700",
+    "verify --suite witness --alpha reclog --p 1 --n-max 1021",
     "verify --suite witness --alpha const:1 --p 1 --n-max 1023",
 )
 
