@@ -499,6 +499,9 @@ def lp_norm(f: GridFunction, p) -> float:
     A piece of |f| (a cell, or one side of a root that `_sign_changes` places)
     of width h from y_lo to y_hi >= y_lo adds h y_hi^p phi(y_lo/y_hi), where
     phi(r) = (1 - r^(p+1)) / ((p+1) (1 - r)) goes through expm1 and log1p.
+    A finite p that takes the largest power of a nonzero |f|, scaled by a
+    power of two, below the normal doubles (only past p = 2044) raises
+    ValueError naming p.
     """
     # written so that p = NaN fails the check too
     if not p >= 1.0:
@@ -519,8 +522,12 @@ def lp_norm(f: GridFunction, p) -> float:
         h, y0, y1 = np.append(h, dist), np.append(y0, y0[cross]), np.append(y1, 0.0 * dist)
         h[cross], y0[cross] = h[cross] - dist, 0.0
     hi = np.maximum(y0, y1)
+    top = np.max(hi)
     if p == np.inf:
-        return float(np.ldexp(np.max(hi), -s))
+        return float(np.ldexp(top, -s))
+    # past p = 2044 no scaling keeps max y^p a normal double, and the norm would read 0.0
+    if top > 0.0 and top**p < np.finfo(float).tiny:
+        raise ValueError(f"p = {p} takes the largest power of |f| below the normal doubles")
     with np.errstate(divide="ignore", invalid="ignore"):  # where() drops 0/0 and log1p(-1)
         d = 1.0 - np.where(hi > 0.0, np.minimum(y0, y1) / hi, 1.0)
         phi = np.where(d > 0.0, -np.expm1((p + 1.0) * np.log1p(-d)) / ((p + 1.0) * d), 1.0)

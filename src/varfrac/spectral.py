@@ -23,10 +23,8 @@ order on [1/e, 1], shares one row of moments: only the run's last row is
 computed, and every other row of the run is that row shifted.  A constant
 order is one run of n cells, and its matrix is exactly Toeplitz (entry
 (i, j) depends on i - j alone, bit for bit).  The computed rows run in
-blocks through one function, _moments, which forms the weights, checks
-their range and sums the moments; the far moments are laid out
-points-major, and their 8 point slabs are added in numpy's own pairwise
-order, so every computed entry has the bits of a sum along the points axis.
+blocks through _moments, which forms the weights, checks their range and
+sums each moment with the bits of a sum along the points axis.
 
 Row i's moments depend on i only through alpha near t_i = i h, so for a
 smooth order each moment column is a smooth function of t.  From n =
@@ -297,8 +295,7 @@ def assemble_matrix(
     samples = np.empty((cell.size, _NODES.size))
     for c in range(0, cell.size, _EVAL_CELLS):
         part = slice(c, c + _EVAL_CELLS)
-        t = samples[part]
-        np.multiply(width[part, None], _NODES, out=t)
+        t = np.multiply(width[part, None], _NODES, out=samples[part])
         t += lo[part, None]
         t *= h
         t += edges[cell[part], None]
@@ -344,7 +341,7 @@ def _interpolated_entries(alpha: OrderFunction, n: int, h: float):
     Entry (i, j) is the moment M(t_i, i - j) of the row at t_i = i h, and
     M(t, d) depends on t only through alpha on [t, t + h].  Virtual rows
     sit at the Chebyshev-Lobatto points t_c of [0, (n - 1) h]: _moments
-    with x = _NODES, unit width and span n - 1, _BLOCK rows per call.
+    with x = _NODES, unit width and span n - 1, in two calls of 17 and 16.
     Each column is interpolated as log(M(t, d) / M(0, d)), so the
     interpolant's absolute error is the entries' relative error, however
     far a column's magnitude runs in t.  Every row i takes its moments
@@ -352,7 +349,7 @@ def _interpolated_entries(alpha: OrderFunction, n: int, h: float):
     (rows x _CHEB) @ (_CHEB x distances) product per 64 rows (Trefethen,
     Approximation Theory and Approximation Practice, 2013).
 
-    The 17 even-indexed points, a Lobatto set of their own, come first:
+    The 17 even-indexed points, a Lobatto set of their own, are the first call:
     when their coefficient tail (_chebyshev_tail) passes _CHEB_HOPELESS,
     or a virtual row leaves the doubles, the try returns None before the
     other 16 rows.  The result stands only when the tail of all _CHEB
@@ -363,14 +360,14 @@ def _interpolated_entries(alpha: OrderFunction, n: int, h: float):
     """
     s = (n - 1) * _CHEB_X
     a = alpha.eval(h * (s[:, None] + _NODES))
-    x = np.broadcast_to(_NODES, (_BLOCK, _NODES.size))
+    x = np.broadcast_to(_NODES, (_CHEB, _NODES.size))
     mom = np.empty((_CHEB, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         try:
-            for k, idx in enumerate((range(0, _CHEB - 1, 2), [_CHEB - 1], range(1, _CHEB, 2))):
-                mom[idx] = _moments(x[: len(idx)], a[idx], 1.0, h, n - 1, n)
-                if k == 1 and not _chebyshev_tail(np.log(mom[::2] / mom[0])) <= _CHEB_HOPELESS:
-                    return None
+            mom[::2] = _moments(x[::2], a[::2], 1.0, h, n - 1, n)
+            if not _chebyshev_tail(np.log(mom[::2] / mom[0])) <= _CHEB_HOPELESS:
+                return None
+            mom[1::2] = _moments(x[1::2], a[1::2], 1.0, h, n - 1, n)
         except ValueError:
             # a virtual row's samples are no cell's, so its weights can leave
             # the normal doubles where the cells' do not: the direct rows decide
@@ -418,11 +415,12 @@ def _moments(x, a, width, h, span, n) -> np.ndarray:
     """Weighted kernel moment sums by distance d = 0..max(span, 2), per piece.
 
     x and a are (pieces x 208) nodes and order samples; the outer rule's
-    weights are h^(a+1) width W / (a Gamma(a)).  The near columns d = 0, 1, 2
-    sum over the 200 graded nodes along the points axis.  The far columns
-    d >= 3 run points-major, as (pieces x 8 points x distances) arrays, so
-    every ufunc loop runs along the distances, and add the 8 point slabs in
-    numpy's own pairwise order: the bits of a sum along the points axis.
+    weights are h^(a+1) width W / (a Gamma(a)).  One loop over the near
+    columns d = 0, 1, 2 sums (d + x)^a less the previous column's power (0
+    before d = 0) over the 200 graded nodes.  The far columns d >= 3 run
+    points-major, as (pieces x 8 points x distances) arrays, so every ufunc
+    loop runs along the distances, and add the 8 point slabs in numpy's own
+    pairwise order: the bits of a sum along the points axis.
 
     Raises ValueError, naming n and the largest order sample, when a weight
     is not finite or is below the smallest normal double times its piece's
@@ -435,11 +433,10 @@ def _moments(x, a, width, h, span, n) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         w = h ** (a + 1.0) * (width * _WEIGHTS) / (a * gamma(a))
         xc, ac, wc = x[:, :_CORNER], a[:, :_CORNER], w[:, :_CORNER]
-        corner = np.power(xc, ac)
-        first = np.power(1.0 + xc, ac)
-        mom[:, 0] = np.sum(corner * wc, axis=1)
-        mom[:, 1] = np.sum((first - corner) * wc, axis=1)
-        mom[:, 2] = np.sum((np.power(2.0 + xc, ac) - first) * wc, axis=1)
+        near = 0.0
+        for d in range(3):
+            edge, near = near, np.power(d + xc, ac)
+            mom[:, d] = np.sum((near - edge) * wc, axis=1)
         far = x[:, _CORNER:, None] + np.arange(2.0, mom.shape[1])
         np.power(far, a[:, _CORNER:, None], out=far)
         far = far[..., 1:] - far[..., :-1]
@@ -509,35 +506,34 @@ def _top_singular_values(a: np.ndarray, k: int) -> tuple[np.ndarray, int, float]
     Krylov space is the whole space and a failed certificate raises
     ArithmeticError.
 
-    A beta below n eps ||B|| means the Krylov space is invariant: beta is
-    taken as zero and the run goes on after step m from the start
-    cos((m + 1) golden angle * i), orthogonalized against V, so
-    diag(d, ..., d) gives d k times.  A single start finds one copy of a
-    repeated singular value per Krylov space, so a multiplicity above one
-    shows only after such a restart; the operator matrices' top values are
-    simple.
+    A step m whose incoming beta is zero starts from cos(m golden angle * i)
+    orthogonalized against V_{m-1}: step 1 (beta starts at zero; u_0 is a
+    zeroed row of U) and each step after a beta below n eps ||B||, an
+    invariant Krylov space.  One start finds one copy of a repeated
+    singular value, so diag(d, ..., d) gives d k times only through such
+    restarts; the operator matrices' top values are simple.
     """
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
-    v = np.cos(_GOLDEN_ANGLE * np.arange(n))
-    v /= math.sqrt(v @ v)
     check = min(2 * k + 8, n)
-    # the bases grow with the steps taken, by doubling, up to n rows
-    vs, us = np.empty((check, n)), np.empty((check, n))
+    # the bases grow by doubling, up to n rows; zeroed first rows make us[-1] u_0 = 0
+    vs, us = np.zeros((check, n)), np.zeros((check, n))
     alphas, betas = [], []
     beta, scale = 0.0, 0.0
     for m in range(1, n + 1):
         if m > vs.shape[0]:
             grow = np.empty((min(vs.shape[0], n - vs.shape[0]), n))
             vs, us = np.concatenate((vs, grow)), np.concatenate((us, grow))
+        if beta == 0.0:
+            w = np.cos(_GOLDEN_ANGLE * m * np.arange(n))
+            v = w / math.sqrt(_reorthogonalize(w, vs[: m - 1]))
+        else:
+            v = w / beta
         vs[m - 1] = v
         p = a @ v
-        if m > 1:
-            p -= beta * us[m - 2]
-            alpha = math.sqrt(_reorthogonalize(p, us[: m - 1]))
-        else:
-            alpha = math.sqrt(p @ p)
+        p -= beta * us[m - 2]
+        alpha = math.sqrt(_reorthogonalize(p, us[: m - 1]))
         u = np.divide(p, alpha, out=us[m - 1])
         w = u @ a
         w -= alpha * v
@@ -568,12 +564,6 @@ def _top_singular_values(a: np.ndarray, k: int) -> tuple[np.ndarray, int, float]
                     )
             check += max(k // 2, 1)
         betas.append(beta)
-        if beta == 0.0:
-            # invariant subspace: go on from a new start orthogonal to it
-            w = np.cos(_GOLDEN_ANGLE * (m + 1) * np.arange(n))
-            v = w / math.sqrt(_reorthogonalize(w, vs[:m]))
-        else:
-            v = w / beta
 
 
 def approximation_numbers(

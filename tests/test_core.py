@@ -375,6 +375,16 @@ class TestLpNorm:
         f = GridFunction((0.0, 1.0), (1e-200, -1e-200))
         assert lp_norm(f, 1.0) == 5e-201
 
+    def test_rejects_p_past_the_normal_doubles(self):
+        # no power-of-two scaling keeps 1.5^3000 or 3^3000 a normal double
+        for f in (GridFunction((0.0, 1.0), (1.5, 1.5)), GridFunction((0.0, 0.5, 1.0), (1, -3, 2))):
+            with pytest.raises(ValueError, match="p = 3000"):
+                lp_norm(f, 3000)
+
+    def test_large_p_of_one_and_of_zero(self):
+        assert lp_norm(ONE, 3000) == 1.0
+        assert lp_norm(GridFunction((0.0, 1.0), (0.0, 0.0)), 3000) == 0.0
+
 
 def ref_lp_norm(f: GridFunction, p: float) -> float:
     """The L_p norm of f, each cell integrated in closed form at 50 digits in

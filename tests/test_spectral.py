@@ -675,11 +675,11 @@ class TestAssemblyPaths:
         assert calls == [(16, 15), (16, 31), (16, 47), (16, 63)]
 
     def test_smooth_order_interpolates_from_virtual_rows(self, monkeypatch):
-        # the 17 even-indexed Lobatto points, 16 and 1 per call, then the
-        # other 16, each at span n - 1
+        # the 17 even-indexed Lobatto points in one call, then the other 16,
+        # each at span n - 1
         calls = moments_calls(monkeypatch)
         m = assemble_matrix(PowerOffset(0.5, 1.0, 2.0), 256)
-        assert calls == [(16, 255), (1, 255), (16, 255)]
+        assert calls == [(17, 255), (16, 255)]
         assert 0.0 < m.chebyshev_tail <= spectral._CHEB_TAIL
 
     def test_order_with_runs_takes_the_direct_rows(self, monkeypatch):
@@ -695,7 +695,7 @@ class TestAssemblyPaths:
         # and the direct rows follow
         calls = moments_calls(monkeypatch)
         m = assemble_matrix(PowerOffset(0.5, 1.0, 0.5), 256)
-        assert calls == [(16, 255), (1, 255)] + [(16, 15 + 16 * k) for k in range(16)]
+        assert calls == [(17, 255)] + [(16, 15 + 16 * k) for k in range(16)]
         assert m.chebyshev_tail == 0.0
 
     def test_virtual_row_out_of_range_takes_the_direct_rows(self, monkeypatch):

@@ -30,12 +30,14 @@ witness norms of ``const:0.5`` to n = 700, whose images grow past 2^350;
 on one that keeps the direct rows; every ``varfrac``
 command in README.md; and inputs that the CLI must reject, among them an
 order spec with an empty field, a witness count whose norms leave the
-doubles, one whose image R h_n overflows (``reclog`` at n = 1015), and
-every ``spectrum`` rejection that command-line input reaches past
-argparse: a size of 0 or past the dense cap, an endpoint r of 0, a fit
-window past ``--n-max``, and a ``--fit`` discretization below
-8 * ``--n-max`` or past its cap.  Argparse's own rejections are left out:
-it wraps its usage lines to the terminal width.
+doubles, one whose image R h_n overflows (``reclog`` at n = 1015), a
+witness exponent past 2044 that takes the largest power of |R h_n|
+below the normal doubles (``reclog`` at p = 5000), and every
+``spectrum`` rejection that command-line input reaches past argparse: a
+size of 0 or past the dense cap, an endpoint r of 0, a fit window past
+``--n-max``, and a ``--fit`` discretization below 8 * ``--n-max`` or past
+its cap.  Argparse's own rejections are left out: it wraps its usage
+lines to the terminal width.
 
 The digests depend on the CPU's SIMD dispatch and on the BLAS build, so
 compare two source trees on one machine; a stored digest from another
@@ -166,6 +168,7 @@ REJECTED = (
     "spectrum --alpha const:0.5 --fit --n 4096",
     "verify --suite witness --alpha reclog --p 1 --n-max 1021",
     "verify --suite witness --alpha const:1 --p 1 --n-max 1023",
+    "verify --suite witness --alpha reclog --p 5000 --n-max 30",
 )
 
 
