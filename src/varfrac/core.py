@@ -380,9 +380,9 @@ class GridFunction:
 #: Product integration sorts its targets into kernel order first, so each
 #: block spans the live edges of its last target plus the first zero edge:
 #: the cells beyond have a zero kernel at both edges for every target of the
-#: block, so dropping them drops exact zeros.  Operator jobs at 32 / 48 / 64:
-#: 1245 / 1239 / 1205 jobs_per_kcu in 15 s harness runs; 0.79 / 0.78 / 0.91 cu
-#: and 0 / 0 / 238 minor faults a job between two calibration kernels.
+#: block, so dropping them drops exact zeros.  Operator jobs at 32 / 48 / 64,
+#: medians of 15 s harness runs on seeds 1-3: 1503 / 1509 / 1445 jobs_per_kcu
+#: and 0.658 / 0.656 / 0.687 cu a job.
 _BLOCK = 48
 
 
@@ -412,19 +412,23 @@ def _product_integral(
     (s - t)_+).  The nodes run from the far end of the kernel to the near end,
     so edge k is the far edge of cell k; Q sweeps contiguous mirrored copies of
     f's nodes and values, so both operators' matvecs take BLAS.  With d = the
-    kernel distance at an edge, d^a is taken once per (target, edge) and cell
-    k has the moments M0 = (d_k^a - d_{k+1}^a)/a and
-    M1 = (d_k^(a+1) - d_{k+1}^(a+1))/(a+1).  A linear cell is written from
-    its far edge, f = y_k + slope_k * (d_k - dist), so its integral is
-    y_k*M0 + slope_k*(d_k*M0 - M1); a step cell has its constant in place of
-    y_k and no slope term.  Targets outside `live` (empty range) give 0.
+    kernel distance at an edge, P = d^a is taken once per (target, edge), and
+    the kernel integrates over cell k to dP_k / a with dP_k = P_k - P_{k+1}.
+    A linear cell is written from its far edge, f = y_k + slope_k * (d_k - dist),
+    and its slope term integrates to
+    slope_k * (d_k*dP_k / (a(a+1)) - h_k*P_{k+1} / (a+1)), where
+    slope_k*h_k = jump_k = y_{k+1} - y_k does not depend on the target.  So a
+    block sums [dP @ level + ((d*dP) @ slope - a * (P[:, 1:] @ jump)) / (a+1)],
+    and the per-target 1/a goes onto that sum with 1/Gamma(a).  A step cell
+    has its constant in place of y_k and no slope term.  Targets outside
+    `live` (empty range) give 0.
 
     The sweep is triangular: the targets run in kernel order (ascending for
     R, descending for Q) and each block stops at the first edge that lies at
     or past its last target, the one whose kernel reaches the most edges.
     Every edge beyond has d = 0 for every target of the block, so each cell
     dropped there has two zero edges and contributes exactly 0; only the
-    length of the dot products changes; a block allocates only d, d^a, M0, M1.
+    length of the dot products changes; a block allocates only d, P and dP.
     """
     out = np.zeros(ts.size)
     idx = np.flatnonzero(live)
@@ -437,35 +441,31 @@ def _product_integral(
     if right:
         x, y, sign = x[::-1].copy(), y[::-1].copy(), -1.0
     if f.interpretation == "linear":
-        level, slope = y[:-1], np.diff(y) / np.abs(np.diff(x))
+        level, jump = y[:-1], np.diff(y)
+        slope = jump / np.abs(np.diff(x))
     else:
         # a step cell holds its left node's value: the far edge for R, the near one for Q
-        level, slope = (y[1:] if right else y[:-1]), np.zeros(x.size - 1)
-    sloped = bool(np.any(slope))
+        level, jump = (y[1:] if right else y[:-1]), np.zeros(x.size - 1)
+    sloped = bool(np.any(jump))
     # kernel order: sign * x ascends from the far edge, and so does sign * t
     order = np.argsort(sign * ts[idx], kind="stable")
     idx, a = idx[order], a[order]
     pos = sign * x
     norm = gamma(a)
     for blk in _blocks(idx.size):
-        ab = a[blk, None]
+        ab = a[blk]
         tb = ts[idx[blk]]
         # the edges live for the block's last target, and the first zero edge
         k = min(int(np.searchsorted(pos, sign * tb[-1])) + 1, x.size)
         d = x[:k] - tb[:, None] if right else tb[:, None] - x[:k]
         np.maximum(d, 0.0, out=d)
-        p = d**ab
-        m0 = p[:, :-1] - p[:, 1:]
-        m0 /= ab
-        val = m0 @ level[: k - 1]
+        p = d ** ab[:, None]
+        dp = p[:, :-1] - p[:, 1:]
+        val = dp @ level[: k - 1]
         if sloped:
-            p *= d
-            m1 = p[:, :-1] - p[:, 1:]
-            m1 /= ab + 1.0
-            m0 *= d[:, :-1]
-            m0 -= m1
-            val += m0 @ slope[: k - 1]
-        out[idx[blk]] = val / norm[blk]
+            dp *= d[:, :-1]
+            val += (dp @ slope[: k - 1] - ab * (p[:, 1:] @ jump[: k - 1])) / (ab + 1.0)
+        out[idx[blk]] = val / ab / norm[blk]
     return out
 
 
