@@ -255,13 +255,10 @@ def cmd_diagnose(args) -> int:
 def cmd_spectrum(args) -> int:
     alpha = parse_alpha(args.alpha)
     if args.fit:
-        lo, hi = args.fit_lo, min(args.fit_hi, args.n_max)
+        lo, hi = args.fit_lo, args.n_max
         if not 1 <= lo < hi:
-            raise ValueError(
-                f"need 1 <= --fit-lo < min(--fit-hi, --n-max), got --fit-lo {lo}, "
-                f"--fit-hi {args.fit_hi}, --n-max {args.n_max}"
-            )
-        report = _self.approximation_numbers(alpha, n_max=args.n_max, n_disc=args.n, r=args.r)
+            raise ValueError(f"need 1 <= --fit-lo < --n-max, got --fit-lo {lo}, --n-max {hi}")
+        report = _self.approximation_numbers(alpha, n_max=hi, n_disc=args.n)
         ks = np.arange(lo, hi + 1)
         slope, intercept = np.polyfit(np.log(ks), np.log(report.values[ks - 1]), 1)
         payload = {
@@ -278,7 +275,7 @@ def cmd_spectrum(args) -> int:
         return EXIT_OK
     n = 256 if args.n is None else args.n
     _self._check_dense_size(n)
-    m = _self.assemble_matrix(alpha, n=n, r=args.r)
+    m = _self.assemble_matrix(alpha, n=n)
     _emit(_self._spectrum_text(_self.singular_values(m)), args.output)
     return EXIT_OK
 
@@ -423,11 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="singular values / approximation numbers")
     add_common(sp, required=True)
     sp.add_argument("--n", type=int, default=None, help="matrix size (or N_disc with --fit)")
-    sp.add_argument("--r", type=float, default=1.0, help="right endpoint of the interval")
     sp.add_argument("--fit", action="store_true", help="fit the approximation-number decay")
-    sp.add_argument("--n-max", type=int, default=64, help="number of approximation numbers")
+    sp.add_argument(
+        "--n-max", type=int, default=64,
+        help="number of approximation numbers, and the last index of the fit window",
+    )
     sp.add_argument("--fit-lo", type=int, default=8, help="first index of the fit window")
-    sp.add_argument("--fit-hi", type=int, default=64, help="last index of the fit window")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("entropy", help="entropy-number brackets for the worked families")

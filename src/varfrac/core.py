@@ -419,7 +419,9 @@ def _product_integral(
     slope_k * (d_k*dP_k / (a(a+1)) - h_k*P_{k+1} / (a+1)), where
     slope_k*h_k = jump_k = y_{k+1} - y_k does not depend on the target.  So a
     block sums [dP @ level + ((d*dP) @ slope - a * (P[:, 1:] @ jump)) / (a+1)],
-    and the per-target 1/a goes onto that sum with 1/Gamma(a).  A step cell
+    and the per-target 1/a and 1/Gamma(a) go onto that sum as one division
+    by Gamma(a + 1) >= K0: the image is at most the sum over K0, where a
+    division by a small a first could overflow.  A step cell
     has its constant in place of y_k and no slope term.  Targets outside
     `live` (empty range) give 0.
 
@@ -451,7 +453,7 @@ def _product_integral(
     order = np.argsort(sign * ts[idx], kind="stable")
     idx, a = idx[order], a[order]
     pos = sign * x
-    norm = gamma(a)
+    norm = gamma(a + 1.0)
     for blk in _blocks(idx.size):
         ab = a[blk]
         tb = ts[idx[blk]]
@@ -465,7 +467,7 @@ def _product_integral(
         if sloped:
             dp *= d[:, :-1]
             val += (dp @ slope[: k - 1] - ab * (p[:, 1:] @ jump[: k - 1])) / (ab + 1.0)
-        out[idx[blk]] = val / ab / norm[blk]
+        out[idx[blk]] = val / norm[blk]
     return out
 
 

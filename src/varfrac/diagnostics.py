@@ -364,9 +364,11 @@ def witness_separation(alpha: OrderFunction, p: float, n_max: int) -> np.ndarray
     compactness.  Targets are graded toward the left edge of I_n where the
     image ramps up from zero.
 
-    n_max is at most 1021, the last n whose 2^-(n+1) is a normal double.  A
-    norm outside the normal doubles, or an overflowing R h_n, is a ValueError
-    naming n and p: an inf or a 0.0 cannot tell compact from non-compact.
+    n_max is at most 1021, the last n whose 2^-(n+1) is a normal double.
+    The image R h_n stays below 2^1022 / K0, since h_n <= 2^1022 and its
+    kernel integrates to at most 1 / Gamma(a + 1) on [0, 1].  A norm
+    outside the normal doubles is a ValueError naming n and p: a 0.0 cannot
+    tell compact from non-compact.
     """
     if not 1 <= n_max <= 1021:
         raise ValueError(f"n_max must be between 1 and 1021, got {n_max}")
@@ -383,10 +385,8 @@ def witness_separation(alpha: OrderFunction, p: float, n_max: int) -> np.ndarray
             np.array([left, right]), np.array([height, height]), interpretation="step"
         )
         targets = left + (right - left) * ramp
-        with np.errstate(over="ignore"):
-            vals = rl_values(alpha, h, targets)
-        norm = lp_norm(GridFunction(targets, vals), p) if np.all(np.isfinite(vals)) else math.inf
-        if not (math.isfinite(norm) and norm >= sys.float_info.min):
+        norm = lp_norm(GridFunction(targets, rl_values(alpha, h, targets)), p)
+        if not norm >= sys.float_info.min:
             raise ValueError(
                 f"witness norm {norm!r} at n = {n}, p = {p} is outside the normal doubles"
             )

@@ -1,9 +1,9 @@
 """Discretized operator matrices, singular values, and the volumetric entropy bound.
 
 The operator is discretized against normalized indicators on n equal cells
-of [0, r], giving the lower-triangular matrix
+of [0, 1], giving the lower-triangular matrix
 
-    sigma_ij = (n/r)^(1/p - 1/q + 1) *
+    sigma_ij = n^(1/p - 1/q + 1) *
                int_{I_i} Gamma(alpha(t))^-1 int_{I_j cap [0,t]} (t-s)^(alpha(t)-1) ds dt.
 
 The inner integral is a closed-form kernel moment, the difference of
@@ -222,11 +222,10 @@ class VolumetricBound:
 def assemble_matrix(
     alpha: OrderFunction,
     n: int,
-    r: float = 1.0,
     p: float = 2.0,
     q: float = 2.0,
 ) -> OperatorMatrix:
-    """Assemble the lower-triangular discretization on n equal cells of [0, r].
+    """Assemble the lower-triangular discretization on n equal cells of [0, 1].
 
     In local coordinates t = e_i + h x and d = i - j, the inner integral
     over I_j cap [0, t] is the exact kernel moment
@@ -270,12 +269,10 @@ def assemble_matrix(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not (0.0 < r <= 1.0):
-        raise ValueError(f"need 0 < r <= 1, got {r}")
     if not (p >= 1.0 and q >= 1.0):
         raise ValueError("need p, q >= 1")
-    h = r / n
-    prefactor = (n / r) ** (1.0 / p - 1.0 / q + 1.0)
+    h = 1.0 / n
+    prefactor = n ** (1.0 / p - 1.0 / q + 1.0)
     edges = h * np.arange(n + 1)
 
     # pieces (cell, lo, hi) in local units of h: I_i split at each breakpoint
@@ -570,9 +567,8 @@ def approximation_numbers(
     alpha: OrderFunction,
     n_max: int,
     n_disc: int | None = None,
-    r: float = 1.0,
 ) -> ApproximationReport:
-    """Approximation numbers a_1..a_n_max of the operator on L2[0, r].
+    """Approximation numbers a_1..a_n_max of the operator on L2[0, 1].
 
     For p = q = 2 the approximation numbers equal singular values, so they
     are read off the n_disc-cell discretization.  Only the 2 * n_disc-cell
@@ -600,7 +596,7 @@ def approximation_numbers(
             f"n_disc capped at {_DENSE_CAP // 2} so the doubling check's assembled "
             f"matrix stays within {_DENSE_CAP} x {_DENSE_CAP}"
         )
-    fine = assemble_matrix(alpha, 2 * n_disc, r=r)
+    fine = assemble_matrix(alpha, 2 * n_disc)
     e = fine.entries
     # (a00 + a01) + (a10 + a11) per 2 x 2 block: the same bits as
     # reshape(n, 2, n, 2).sum(axis=(1, 3)), in a tenth of its time at

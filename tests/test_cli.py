@@ -263,7 +263,7 @@ class TestSpectrum:
         rc, out, _ = run(
             capsys,
             "spectrum", "--alpha", "const:0.5", "--fit",
-            "--n-max", "32", "--n", "256", "--fit-lo", "8", "--fit-hi", "32",
+            "--n-max", "32", "--n", "256", "--fit-lo", "8",
         )
         assert rc == EXIT_OK
         payload = json.loads(out)
@@ -277,7 +277,7 @@ class TestSpectrum:
         [
             ("--n-max", "4"),  # default --fit-lo 8 lies past the last index
             ("--n-max", "16", "--fit-lo", "0"),
-            ("--n-max", "16", "--fit-lo", "5", "--fit-hi", "5"),  # a one-point fit
+            ("--n-max", "5", "--fit-lo", "5"),  # a one-point fit
         ],
         ids=["lo-past-n-max", "lo-zero", "one-point"],
     )
@@ -290,7 +290,7 @@ class TestSpectrum:
             capsys, "spectrum", "--alpha", "const:0.5", "--fit", "--n", "128", *window
         )
         assert rc == EXIT_USAGE and out == ""
-        assert "--fit-lo" in err and "--fit-hi" in err and "--n-max" in err
+        assert "need 1 <= --fit-lo < --n-max" in err
 
     @pytest.mark.parametrize(
         "flags, unrecognized",
@@ -300,12 +300,15 @@ class TestSpectrum:
             (("--alpha", "const:0.5", "--n", "8", "--fit", "--p", "3"), "--p 3"),
             (("--alpha", "const:0.5", "--n", "8", "--fit", "--q", "1.5"), "--q 1.5"),
             (("--alpha", "const:0.5", "--matrix", "m.csv", "--p", "3"), "--matrix m.csv --p 3"),
+            (("--alpha", "const:0.5", "--n", "8", "--r", "0.5"), "--r 0.5"),
+            (("--alpha", "const:0.5", "--fit", "--fit-hi", "8"), "--fit-hi 8"),
         ],
-        ids=["p", "q", "fit-p", "fit-q", "matrix-p"],
+        ids=["p", "q", "fit-p", "fit-q", "matrix-p", "r", "fit-hi"],
     )
     def test_exponent_flags_are_unrecognized(self, capsys, monkeypatch, flags, unrecognized):
-        # spectrum prints L2 spectra only; argparse must not take the flag
-        # as an abbreviation of another option
+        # spectrum prints L2 spectra on [0, 1] only and its fit window ends at
+        # --n-max; argparse must not take the flag as an abbreviation of
+        # another option
         def never(*args, **kwargs):
             raise AssertionError("argparse rejects the flag before any work")
 

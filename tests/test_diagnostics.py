@@ -297,8 +297,10 @@ class TestWitnesses:
             witness_separation(Constant(1.0), 1.0, n_max)
 
     def test_reciprocal_log_l1_stays_at_its_bound(self):
-        # t^alpha(t) = e^-1 for this order: the norms stay just below it
-        vals = witness_separation(ReciprocalLog(), 1.0, 1000)[505:]
+        # t^alpha(t) = e^-1 for this order: the norms stay just below it, to
+        # the cap, where h_n reaches 2^1022 and the order falls near 1/705
+        # on I_n, so the sum over the order alone would overflow
+        vals = witness_separation(ReciprocalLog(), 1.0, 1021)[505:]
         assert np.all((vals >= 0.366) & (vals <= math.exp(-1.0)))
 
     # order 1/2 at p = 1: the norms fall like 2^(-n/2), while R h_n grows
@@ -315,11 +317,10 @@ class TestWitnesses:
     @pytest.mark.parametrize(
         "alpha, p, n_max, first",
         [
-            (ReciprocalLog(), 1.0, 1021, 1015),  # R h_n overflows in its matmul
             (Constant(1.0), 2.0, 1021, 1021),  # subnormal, 1.28e-308
             (Constant(1.0), 1.0, 1021, 1021),  # subnormal, 1.11e-308
         ],
-        ids=["reclog-image-overflow", "const1-l2-subnormal", "const1-subnormal"],
+        ids=["const1-l2-subnormal", "const1-subnormal"],
     )
     def test_norm_outside_normal_doubles_rejected(self, alpha, p, n_max, first):
         # the suite runs with warnings as errors, so a numpy RuntimeWarning

@@ -60,6 +60,13 @@ def test_golden_covers_the_digest_commands():
     )
 
 
+def test_rejected_commands_exit_nonzero():
+    # the digest's rejection list names only commands the CLI rejects
+    exits = {e["command"]: e["exit"] for e in GOLDEN}
+    accepted = [c for c in cli_digest.REJECTED if exits[c] == 0]
+    assert not accepted, f"REJECTED commands that exit 0: {accepted}"
+
+
 @pytest.mark.parametrize("want", GOLDEN, ids=[e["command"] for e in GOLDEN])
 def test_cli_matches_golden(want, tmp_path):
     got = cli_digest.run_in_process(want["command"], cli_digest.make_workdir(tmp_path))

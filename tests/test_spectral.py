@@ -77,15 +77,15 @@ def breakpoint_rows(alpha, n: int) -> set:
     return {int(b * n) for b in alpha.breakpoints if 0.0 < b * n % 1.0}
 
 
-def reference_row(alpha, n: int, i: int, points: int = 8, r=1.0, p=2.0, q=2.0):
+def reference_row(alpha, n: int, i: int, points: int = 8, p=2.0, q=2.0):
     """Row i by the slow absolute-coordinate loop, summed over axis 0.
 
     I_i is split at each breakpoint of alpha inside it and the graded rule
     (graded_rule) runs on every piece, for every column, with the textbook
     moments ((t - u)^a - (t - v)_+^a) / a formed from absolute distances.
     """
-    h = r / n
-    prefactor = (n / r) ** (1.0 / p - 1.0 / q + 1.0)
+    h = 1.0 / n
+    prefactor = n ** (1.0 / p - 1.0 / q + 1.0)
     edges = h * np.arange(n + 1)
     offs, wts = graded_rule(points)
     cuts = sorted((b - edges[i]) / h for b in alpha.breakpoints if edges[i] < b < edges[i + 1])
@@ -109,13 +109,13 @@ def reference_entries(alpha, n: int, points: int = 8):
     return out
 
 
-def closure_entries(alpha, n: int, r: float = 1.0, p: float = 2.0, q: float = 2.0):
+def closure_entries(alpha, n: int, p: float = 2.0, q: float = 2.0):
     """The per-row closure assemble_matrix used before the corner-aware rule:
     graded_rule for every column, local-coordinate edge powers, moments by
     -np.diff with an appended zero row, weighted and summed along the points
     axis; no breakpoint split."""
-    h = r / n
-    prefactor = (n / r) ** (1.0 / p - 1.0 / q + 1.0)
+    h = 1.0 / n
+    prefactor = n ** (1.0 / p - 1.0 / q + 1.0)
     edges = h * np.arange(n + 1)
     offs, wts = graded_rule()
 
@@ -133,14 +133,14 @@ def closure_entries(alpha, n: int, r: float = 1.0, p: float = 2.0, q: float = 2.
     return out
 
 
-def blocked_entries(alpha, n: int, r: float = 1.0, p: float = 2.0, q: float = 2.0):
+def blocked_entries(alpha, n: int, p: float = 2.0, q: float = 2.0):
     """assemble_matrix's loop without runs of equal samples: every piece in
     blocks of 16, alpha evaluated per block, and the far moments summed
     along the points axis of (pieces x distances x 8) arrays.  The slow
     reference the assembly must match bit for bit."""
     nodes, weights, corner_nodes = spectral._NODES, spectral._WEIGHTS, spectral._CORNER
-    h = r / n
-    prefactor = (n / r) ** (1.0 / p - 1.0 / q + 1.0)
+    h = 1.0 / n
+    prefactor = n ** (1.0 / p - 1.0 / q + 1.0)
     edges = h * np.arange(n + 1)
     cuts: dict[int, list[float]] = {}
     for b in alpha.breakpoints:
@@ -348,7 +348,7 @@ class TestAssembly:
         assert abs(got / want - 1.0) <= 1e-12
 
     def test_diagonal_floor_holds(self):
-        # proven floor at r = 1, p = q = 2: sigma_jj >= n / C1 * (1/2n)^(a1+1),
+        # proven floor on [0, 1] at p = q = 2: sigma_jj >= n / C1 * (1/2n)^(a1+1),
         # C1 = max(1, Gamma(a1+1)), a1 = alpha(1) the supremum of a
         # non-decreasing order
         for alpha in (Constant(0.5), PowerOffset(0.5, 1.0, 1.0)):
@@ -361,8 +361,6 @@ class TestAssembly:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             assemble_matrix(Constant(1.0), 0)
-        with pytest.raises(ValueError):
-            assemble_matrix(Constant(1.0), 4, r=1.5)
         with pytest.raises(ValueError):
             assemble_matrix(Constant(1.0), 4, p=0.5)
 
@@ -383,7 +381,7 @@ class TestAssembly:
             OperatorMatrix(p=2.0, q=2.0, entries=e)
 
     def test_fields(self):
-        # the grid's endpoint is not a field: only assemble_matrix reads r
+        # the grid is always [0, 1], so its endpoint is not a field
         names = [f.name for f in dataclasses.fields(OperatorMatrix)]
         assert names == ["p", "q", "entries", "chebyshev_tail"]
 

@@ -25,16 +25,16 @@ past 2^1000; the two L1 ``diagnose`` checks at order 100;
 ``spectrum --fit`` on two orders near 0.05, whose top singular values
 converge slowest; the L2 witness norms of ``const:1`` to n = 533, whose
 squares underflow, and to n = 1021, past the normal doubles; the L1
-witness norms of ``const:0.5`` to n = 700, whose images grow past 2^350;
+witness norms of ``const:0.5`` to n = 700, whose images grow past 2^350,
+and of ``reclog`` to n = 1021, whose witnesses reach 2^1022;
 ``spectrum --n 256`` on a smooth order, whose matrix is interpolated, and
-on one that keeps the direct rows; every ``varfrac``
-command in README.md; and inputs that the CLI must reject, among them an
-order spec with an empty field, a witness count whose norms leave the
-doubles, one whose image R h_n overflows (``reclog`` at n = 1015), a
-witness exponent past 2044 that takes the largest power of |R h_n|
-below the normal doubles (``reclog`` at p = 5000), and every
-``spectrum`` rejection that command-line input reaches past argparse: a
-size of 0 or past the dense cap, an endpoint r of 0, a fit window past
+on one that keeps the direct rows; ``apply`` on a step ``--f`` file; every
+``varfrac`` command in README.md; and inputs that the CLI must reject,
+among them an order spec with an empty field, a witness count whose norms
+leave the doubles, a witness exponent past 2044 that takes the largest
+power of |R h_n| below the normal doubles (``reclog`` at p = 5000), and
+every ``spectrum`` rejection that command-line input reaches past
+argparse: a size of 0 or past the dense cap, a fit window past
 ``--n-max``, and a ``--fit`` discretization below 8 * ``--n-max`` or past
 its cap.  Argparse's own rejections are left out: it wraps its usage
 lines to the terminal width.
@@ -122,12 +122,15 @@ SLOW_LANCZOS = (
 
 # L2 witness norms of the identity order near the bottom of the doubles:
 # 2^-(n+1)/sqrt(3) to n = 533, whose squares underflow, and to n = 1021,
-# whose subnormal norm the suite rejects; and L1 witness norms of order 1/2
-# to n = 700, about 2^-350, whose images R h_n grow like 2^(n/2)
+# whose subnormal norm the suite rejects; L1 witness norms of order 1/2 to
+# n = 700, about 2^-350, whose images R h_n grow like 2^(n/2); and L1
+# witness norms of the reciprocal-log order to the cap, whose witnesses reach
+# 2^1022 while the order falls near 1/705
 SMALL_NORMS = (
     "verify --suite witness --alpha const:1 --p 2 --n-max 533",
     "verify --suite witness --alpha const:1 --p 2 --n-max 1021",
     "verify --suite witness --alpha const:0.5 --p 1 --n-max 700",
+    "verify --suite witness --alpha reclog --p 1 --n-max 1021",
 )
 
 # a smooth order whose 256-cell matrix is interpolated from 33 virtual rows,
@@ -137,6 +140,10 @@ INTERPOLATED = (
     "spectrum --alpha ex3:0.5,1,1 --n 256",
 )
 
+# a --f file that declares step interpretation and keeps it: R^1 of the
+# step 1 | 3 reads 0.25 and 1.25
+STEP_INPUT = ("apply --alpha const:1 --f csv:f_step.csv --targets 0.25,0.75",)
+
 CHECKS = ("l1criterion", "l1norm", "lptolinf", "compact-zero", "compact-one")
 
 REJECTED = (
@@ -144,7 +151,6 @@ REJECTED = (
     "diagnose --alpha const:0.5 --check l1norm --p nan",
     "verify --suite identities --p nan",
     "apply --alpha csv:alpha_bad_directive.csv --targets 0.25",
-    "apply --alpha const:1 --f csv:f_step.csv --targets 0.25,0.75",
     "entropy --alpha ex2:0.5,1,1 --n-grid 2^6..2^1024",
     "entropy --alpha ex2:0.5,1,1 --n-grid 16,32",
     "entropy --alpha ex2:0.5,1,1 --n-grid 2^6..2^8 --p 3",
@@ -162,11 +168,9 @@ REJECTED = (
     "apply --alpha const:0.5 --f one --targets 0.5 --output .",
     "apply --alpha ex1:0.5,,1,2 --targets 0.5",
     "spectrum --alpha const:0.5 --n 0",
-    "spectrum --alpha const:0.5 --n 8 --r 0",
     "spectrum --alpha const:0.5 --fit --n-max 4",
     "spectrum --alpha const:0.5 --fit --n 100 --n-max 16",
     "spectrum --alpha const:0.5 --fit --n 4096",
-    "verify --suite witness --alpha reclog --p 1 --n-max 1021",
     "verify --suite witness --alpha const:1 --p 1 --n-max 1023",
     "verify --suite witness --alpha reclog --p 5000 --n-max 30",
 )
@@ -179,7 +183,7 @@ def order_commands(alpha: str) -> list[str]:
         f"apply {a} --f cos3 --targets 33 --adjoint",
         *(f"diagnose {a} --check {check}" for check in CHECKS),
         f"spectrum {a} --n 32",
-        f"spectrum {a} --fit --n-max 8 --n 64 --fit-lo 2 --fit-hi 8",
+        f"spectrum {a} --fit --n-max 8 --n 64 --fit-lo 2",
         f"verify --suite identities {a} --n-cells 64",
         f"verify --suite witness {a} --n-max 12",
         f"verify --suite maxbound {a} --seed 3 --trials 10",
@@ -209,7 +213,7 @@ def readme_commands() -> list[str]:
 def all_commands() -> list[str]:
     cmds = [c for alpha in ORDERS for c in order_commands(alpha)]
     cmds += [c for alpha in WORKED for c in entropy_commands(alpha)]
-    cmds += LARGE_GRIDS + LARGE_ORDERS + SLOW_LANCZOS + SMALL_NORMS + INTERPOLATED
+    cmds += LARGE_GRIDS + LARGE_ORDERS + SLOW_LANCZOS + SMALL_NORMS + INTERPOLATED + STEP_INPUT
     return cmds + readme_commands() + list(REJECTED)
 
 
